@@ -6,8 +6,10 @@ Commands:
   sensitivity  max |dT/dphi1| vs phi2 for grover-michelson and michelson -> CSV (+ SVG)
   bias         solve T(phi1) = target, report slope, optional perturbation table
 
-Devices are either registry names (michelson, bs-cavity, grover-single-seal,
-grover-michelson — plus `fusion` for smatrix) or paths to netlist JSON files.
+Devices are built-in names (michelson, bs-cavity, grover-single-seal,
+grover-michelson, fusion) or paths to netlist JSON files; a built-in name
+wins over a file of the same name in every command.  sweep and bias use the
+closed form of a built-in that has one.
 Phase-valued options accept expressions like ``pi/8`` or ``2*pi/3``.
 
 Exit codes: 0 success; 1 parse or validation failure; 2 singular closure
@@ -157,30 +159,24 @@ def _parse_grid(spec: str, degrees: bool) -> GridSpec:
 
 
 def _resolve_device(name: str, tol: float):
-    """Registry name -> DeviceModel; path or builtin netlist name -> netlist model."""
-    if name in analysis.MODEL_NAMES:
-        return analysis.resolve_device(name)
+    """--device value -> (device id, Netlist): built-in name first, then file."""
+    if name in BUILTIN_NETLIST_NAMES:
+        return name, builtin_netlist(name)
     path = Path(name)
     if path.exists():
-        netlist = parse_netlist(path.read_text(encoding="utf-8"), unitarity_tol=tol)
-        return analysis.netlist_device(netlist, device_id=path.stem)
-    if name in BUILTIN_NETLIST_NAMES:
-        return analysis.netlist_device(builtin_netlist(name), device_id=name)
-    raise ValidationError(
-        f"unknown device {name!r}: not a registry name, builtin netlist, or file"
-    )
-
-
-def _load_netlist(name: str, tol: float):
-    if name in BUILTIN_NETLIST_NAMES:
-        return builtin_netlist(name)
-    path = Path(name)
-    if path.exists():
-        return parse_netlist(path.read_text(encoding="utf-8"), unitarity_tol=tol)
+        return path.stem, parse_netlist(path.read_text(encoding="utf-8"), unitarity_tol=tol)
     raise ValidationError(
         f"unknown device {name!r}: not a builtin netlist "
         f"({', '.join(BUILTIN_NETLIST_NAMES)}) or file"
     )
+
+
+def _device_model(name: str, tol: float):
+    """Closed form for a registry name, else the resolved netlist's model."""
+    if name in analysis.MODEL_NAMES:
+        return analysis.resolve_device(name)
+    device_id, netlist = _resolve_device(name, tol)
+    return analysis.netlist_device(netlist, device_id=device_id)
 
 
 def _fmt(x: float) -> str:
@@ -204,7 +200,7 @@ def _csv(header: str, rows) -> str:
 # --- commands --------------------------------------------------------------
 
 def cmd_smatrix(args, tol: float) -> int:
-    netlist = _load_netlist(args.device, tol)
+    _, netlist = _resolve_device(args.device, tol)
     bindings = {
         "phi1": _angle(args.phi1, args.degrees),
         "phi2": _angle(args.phi2, args.degrees),
@@ -220,7 +216,7 @@ def cmd_smatrix(args, tol: float) -> int:
 
 
 def cmd_sweep(args, tol: float) -> int:
-    model = _resolve_device(args.device, tol)
+    model = _device_model(args.device, tol)
     phi2 = _angle(args.phi2, args.degrees)
     grid = _parse_grid(args.phi1_grid, args.degrees)
     curve = analysis.sweep(model, phi2, grid)
@@ -281,7 +277,7 @@ def cmd_sensitivity(args, tol: float) -> int:
 
 
 def cmd_bias(args, tol: float) -> int:
-    model = _resolve_device(args.device, tol)
+    model = _device_model(args.device, tol)
     phi2 = _angle(args.phi2, args.degrees)
     bias = analysis.find_bias_point(model, phi2, args.target)
     print(f"device: {model.device_id}")

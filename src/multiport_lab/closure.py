@@ -26,6 +26,7 @@ Feedback conventions:
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -41,16 +42,12 @@ SINGULARITY_RCOND = 1e-12
 
 @dataclass(frozen=True)
 class Termination:
-    """A sealed port: mirror (optional) plus accumulated round-trip phase."""
+    """A sealed port: mirror (optional) plus accumulated round-trip phase
+    (radians; `CompiledClosure` also takes phase expressions)."""
 
     port: str
     round_trip_phase: float
     has_mirror: bool = True
-
-    @property
-    def feedback_amplitude(self) -> complex:
-        amp = complex(np.exp(1j * self.round_trip_phase))
-        return -amp if self.has_mirror else amp
 
 
 @dataclass(frozen=True)
@@ -98,10 +95,12 @@ def _closed_partition(
     terminations: Sequence[Termination],
     links: LinkSet | Sequence[Link] | None,
 ):
-    """Index bookkeeping shared by the solve and series engines.
+    """Index bookkeeping for `CompiledClosure`.
 
-    Returns (open_idx, closed_idx, F) with closed ports in device order and F
-    the feedback matrix on the closed block.
+    Returns (open_idx, closed_idx, loops) with closed ports in device order
+    and, per seal or link, its feedback entries (rows, cols) on the closed
+    block, the sign and share of its round-trip phase per pass, and the phase
+    itself, unevaluated.
     """
     link_pairs = ()
     if links is not None:
@@ -124,17 +123,72 @@ def _closed_partition(
     if not open_idx and used:
         raise PortError("closure must leave at least one open port")
 
-    F = np.zeros((len(closed_idx), len(closed_idx)), dtype=np.complex128)
-    for term in terminations:
-        k = pos[S.port_index(term.port)]
-        F[k, k] = term.feedback_amplitude
-    for link in link_pairs:
-        a = pos[S.port_index(link.port_a)]
-        b = pos[S.port_index(link.port_b)]
-        one_way = complex(np.exp(0.5j * link.round_trip_phase))
-        F[a, b] = one_way
-        F[b, a] = one_way
-    return open_idx, closed_idx, F
+    def entries(*ports):
+        k = [pos[S.port_index(p)] for p in ports]
+        return k, k[::-1]
+
+    loops = [(entries(t.port), -1.0 if t.has_mirror else 1.0, 1.0, t.round_trip_phase)
+             for t in terminations]
+    loops += [(entries(l.port_a, l.port_b), 1.0, 0.5, l.round_trip_phase) for l in link_pairs]
+    return open_idx, closed_idx, loops
+
+
+class CompiledClosure:
+    """S split once into open and closed blocks for feedback through the
+    given seals and links, to be solved at many phase values.
+
+    Phases are kept as given and mapped to radians by `value` when the
+    feedback is built, so they may be numbers or expressions.  Open ports
+    keep device order unless `open_ports` orders them.
+    """
+
+    def __init__(self, S: ScatteringMatrix, terminations=(), links=None, open_ports=None):
+        open_idx, closed_idx, self.loops = _closed_partition(S, terminations, links)
+        if open_ports is not None:
+            open_idx = [S.port_index(p) for p in open_ports]
+        o, c, m = open_idx, closed_idx, S.matrix
+        # (S_oo, S_oc, S_co, S_cc)
+        self.blocks = m[np.ix_(o, o)], m[np.ix_(o, c)], m[np.ix_(c, o)], m[np.ix_(c, c)]
+        self.labels = tuple(S.port_labels[i] for i in open_idx)
+        self.closed = tuple(S.port_labels[i] for i in closed_idx)
+
+    def feedback(self, value=float, slope=None):
+        """Feedback matrix F and, when `slope` maps a phase to its
+        phi1-derivative, dF/dphi1 (else None)."""
+        F = np.zeros((len(self.closed),) * 2, dtype=np.complex128)
+        dF = None if slope is None else np.zeros_like(F)
+        for where, sign, share, phase in self.loops:
+            F[where] = amp = sign * cmath.exp(1j * share * value(phase))
+            if slope is not None:
+                dF[where] = 1j * share * slope(phase) * amp
+        return F, dF
+
+    def solve(self, value=float, slope=None):
+        """(S_eff, condition of I - S_cc F, dS_eff/dphi1 or None); see `feedback`.
+
+        With X = (I - S_cc F)^-1 S_co, S_eff = S_oo + S_oc F X.  The resolvent
+        identity d(A^-1) = -A^-1 dA A^-1 gives dS_eff = S_oc (I - F S_cc)^-1 dF X
+        = S_oc (I + F Y) dF X, with Y = (I - S_cc F)^-1 S_cc from X's solve.
+        """
+        S_oo, S_oc, S_co, S_cc = self.blocks
+        F, dF = self.feedback(value, slope)
+        if not self.closed:
+            return S_oo, 1.0, None if dF is None else np.zeros_like(S_oo)
+        A = np.eye(len(F)) - S_cc @ F
+        sv = np.linalg.svd(A, compute_uv=False)
+        rcond = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
+        if rcond < SINGULARITY_RCOND:
+            raise SingularClosureError(
+                f"singular closure: feedback through ports {list(self.closed)} is "
+                f"resonant and traps a lossless bound state (rcond={rcond:.2e})"
+            )
+        if dF is None:
+            X = np.linalg.solve(A, S_co)
+            return S_oo + S_oc @ (F @ X), 1.0 / rcond, None
+        XY = np.linalg.solve(A, np.hstack((S_co, S_cc)))
+        X, Y = XY[:, :S_co.shape[1]], XY[:, S_co.shape[1]:]
+        V = dF @ X
+        return S_oo + S_oc @ (F @ X), 1.0 / rcond, S_oc @ (V + F @ (Y @ V))
 
 
 def close_network(
@@ -151,32 +205,9 @@ def close_network(
     Raises SingularClosureError when (I - S_cc F) is numerically singular,
     i.e. the closed ports support a lossless bound state that traps energy.
     """
-    open_idx, closed_idx, F = _closed_partition(S, terminations, links)
-    if not closed_idx:
-        return ClosedDevice(effective=S, closure_condition=1.0)
-
-    m = S.matrix
-    S_oo = m[np.ix_(open_idx, open_idx)]
-    S_oc = m[np.ix_(open_idx, closed_idx)]
-    S_co = m[np.ix_(closed_idx, open_idx)]
-    S_cc = m[np.ix_(closed_idx, closed_idx)]
-
-    A = np.eye(len(closed_idx)) - S_cc @ F
-    sv = np.linalg.svd(A, compute_uv=False)
-    rcond = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-    if rcond < SINGULARITY_RCOND:
-        trapped = [S.port_labels[i] for i in closed_idx]
-        raise SingularClosureError(
-            f"singular closure: feedback through ports {trapped} is resonant "
-            f"and traps a lossless bound state (rcond={rcond:.2e})"
-        )
-    X = np.linalg.solve(A, S_co)
-    effective = S_oo + S_oc @ (F @ X)
-    labels = tuple(S.port_labels[i] for i in open_idx)
-    return ClosedDevice(
-        effective=ScatteringMatrix(effective, labels),
-        closure_condition=1.0 / rcond,
-    )
+    closure = CompiledClosure(S, terminations, links)
+    effective, condition, _ = closure.solve()
+    return ClosedDevice(ScatteringMatrix(effective, closure.labels), condition)
 
 
 def seal_ports(S: ScatteringMatrix, terminations: Sequence[Termination]) -> ClosedDevice:
@@ -221,24 +252,18 @@ def close_series_truncated(
     """
     if n_round_trips < 0:
         raise ValueError(f"n_round_trips must be >= 0, got {n_round_trips}")
-    open_idx, closed_idx, F = _closed_partition(S, terminations, links)
-    if not closed_idx:
+    closure = CompiledClosure(S, terminations, links)
+    if not closure.closed:
         return S
-
-    m = S.matrix
-    S_oo = m[np.ix_(open_idx, open_idx)]
-    S_oc = m[np.ix_(open_idx, closed_idx)]
-    S_co = m[np.ix_(closed_idx, open_idx)]
-    S_cc = m[np.ix_(closed_idx, closed_idx)]
-
+    F, _ = closure.feedback()
+    S_oo, S_oc, S_co, S_cc = closure.blocks
     total = S_oo.astype(np.complex128, copy=True)
     reaching = S_co  # (S_cc F)^n S_co for the current n
     for _ in range(n_round_trips + 1):
         fed_back = F @ reaching
         total += S_oc @ fed_back
         reaching = S_cc @ fed_back
-    labels = tuple(S.port_labels[i] for i in open_idx)
-    return ScatteringMatrix(total, labels)
+    return ScatteringMatrix(total, closure.labels)
 
 
 def closure_spectral_radius(
@@ -251,8 +276,8 @@ def closure_spectral_radius(
     Values below one guarantee the round-trip series converges; one signals a
     lossless bound state (perfect mirror loop).
     """
-    _, closed_idx, F = _closed_partition(S, terminations, links)
-    if not closed_idx:
+    closure = CompiledClosure(S, terminations, links)
+    if not closure.closed:
         return 0.0
-    S_cc = S.matrix[np.ix_(closed_idx, closed_idx)]
-    return float(np.max(np.abs(np.linalg.eigvals(S_cc @ F))))
+    F, _ = closure.feedback()
+    return float(np.max(np.abs(np.linalg.eigvals(closure.blocks[3] @ F))))

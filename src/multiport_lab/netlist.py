@@ -34,7 +34,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .closure import ClosedDevice, Link, Termination, close_network
+from .closure import ClosedDevice, CompiledClosure, Termination
 from .core import (
     DEFAULT_UNITARITY_TOL,
     ScatteringMatrix,
@@ -43,7 +43,6 @@ from .core import (
     make_beam_splitter_4port,
     make_grover_coin,
     make_hadamard2,
-    permute_ports,
 )
 from .errors import ParseError, ValidationError
 from .phase_expr import PhaseExpr
@@ -348,6 +347,14 @@ def combined_matrix(netlist: Netlist) -> ScatteringMatrix:
     return ScatteringMatrix(big, labels)
 
 
+def compile_netlist(netlist: Netlist) -> CompiledClosure:
+    """The netlist's closure, partitioned once, with open ports in
+    `netlist.open_ports` order; its phases stay `PhaseExpr`s, to be evaluated
+    (and differentiated) per solve."""
+    seals = [Termination(f"{s.device}.{s.port}", s.phase, s.mirror) for s in netlist.seals]
+    return CompiledClosure(combined_matrix(netlist), seals, netlist.links, netlist.open_ports)
+
+
 def close_netlist(netlist: Netlist,
                   bindings: Mapping[str, float] | None = None) -> ClosedDevice:
     """Close the netlist into its effective device.
@@ -356,25 +363,9 @@ def close_netlist(netlist: Netlist,
     (ValidationError if one is unbound).  Open ports come out in
     `netlist.open_ports` order.
     """
-    S = combined_matrix(netlist)
-    terminations = tuple(
-        Termination(port=f"{s.device}.{s.port}",
-                    round_trip_phase=s.phase.evaluate(bindings),
-                    has_mirror=s.mirror)
-        for s in netlist.seals
-    )
-    links = tuple(
-        Link(port_a=l.port_a, port_b=l.port_b,
-             round_trip_phase=l.round_trip_phase.evaluate(bindings))
-        for l in netlist.links
-    )
-    closed = close_network(S, terminations=terminations, links=links)
-    want = netlist.open_ports
-    if closed.open_port_labels != want:
-        perm = [closed.effective.port_index(p) for p in want]
-        closed = ClosedDevice(effective=permute_ports(closed.effective, perm),
-                              closure_condition=closed.closure_condition)
-    return closed
+    closure = compile_netlist(netlist)
+    effective, condition, _ = closure.solve(lambda phase: phase.evaluate(bindings))
+    return ClosedDevice(ScatteringMatrix(effective, closure.labels), condition)
 
 
 # --- built-in topologies ---------------------------------------------------

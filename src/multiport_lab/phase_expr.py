@@ -11,14 +11,17 @@ for as long as the arithmetic allows (so ``2*pi - pi`` is exactly ``pi`` and
 only when a nonlinear combination or a free symbol forces it.  The same text
 therefore evaluates to the same float on every run.
 
-`PhaseExpr` stores the canonical rendering of the parsed tree; two
-expressions compare equal iff their canonical texts match.
+`PhaseExpr` stores the canonical rendering of the parsed tree and caches
+the tree itself; two expressions compare equal iff their canonical texts
+match.  `PhaseExpr.derivative` applies the chain rule over that tree.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -141,6 +144,8 @@ def _parse_atom(tz: _Tokenizer) -> _Node:
             value = float(tok)
         except ValueError:
             raise tz.error(f"malformed number {tok!r}") from None
+        if not math.isfinite(value):
+            raise tz.error(f"number {tok!r} is out of range")
         return _Num(value)
     if kind == "name":
         if tok == "pi" or tok in _SYMBOLS:
@@ -206,7 +211,10 @@ class _Exact:
 
 
 def _to_float(v) -> float:
-    return v.to_float() if isinstance(v, _Exact) else v
+    try:
+        return v.to_float() if isinstance(v, _Exact) else v
+    except OverflowError:  # a rational beyond the float range
+        return math.inf
 
 
 def _eval(node: _Node, bindings: Mapping[str, float]):
@@ -232,32 +240,43 @@ def _eval(node: _Node, bindings: Mapping[str, float]):
             return _Exact(left.a + right.a, left.b + right.b)
         if op == "-":
             return _Exact(left.a - right.a, left.b - right.b)
-        if op == "*":
-            if right.b == 0:
-                return _Exact(left.a * right.a, left.b * right.a)
-            if left.b == 0:
-                return _Exact(left.a * right.a, left.a * right.b)
-            # pi*pi leaves the rational-pi field
-            return _to_float(left) * _to_float(right)
-        if right.b == 0:
+        if op == "*" and right.b == 0:
+            return _Exact(left.a * right.a, left.b * right.a)
+        if op == "*" and left.b == 0:
+            return _Exact(left.a * right.a, left.a * right.b)
+        if op == "/" and right.b == 0:
             if right.a == 0:
                 raise ValidationError("division by zero in phase expression")
             return _Exact(left.a / right.a, left.b / right.a)
-        return _divide(_to_float(left), _to_float(right))
-    lf, rf = _to_float(left), _to_float(right)
-    if op == "+":
-        return lf + rf
-    if op == "-":
-        return lf - rf
-    if op == "*":
-        return lf * rf
-    return _divide(lf, rf)
+        # pi*pi and division by a multiple of pi leave the rational-pi field
+    return _FLOAT_OPS[op](_to_float(left), _to_float(right))
 
 
 def _divide(a: float, b: float) -> float:
     if b == 0.0:
         raise ValidationError("division by zero in phase expression")
     return a / b
+
+
+_FLOAT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide}
+
+
+def _slope(node: _Node, bindings: Mapping[str, float], name: str) -> float:
+    """d(node)/d(name) at `bindings`, by the chain rule over the tree."""
+    if isinstance(node, _Num):
+        return 0.0
+    if isinstance(node, _Sym):
+        return 1.0 if node.name == name else 0.0
+    if isinstance(node, _Neg):
+        return -_slope(node.operand, bindings, name)
+    du = _slope(node.left, bindings, name)
+    dv = _slope(node.right, bindings, name)
+    if node.op in "+-":
+        return du + dv if node.op == "+" else du - dv
+    u, v = (_to_float(_eval(side, bindings)) for side in (node.left, node.right))
+    if node.op == "*":
+        return du * v + u * dv
+    return _divide(du - _divide(u * dv, v), v)
 
 
 # --- public API ------------------------------------------------------------
@@ -272,7 +291,8 @@ class PhaseExpr:
     def parse(cls, source: Union[str, int, float]) -> "PhaseExpr":
         """Parse text (or accept a bare number) into canonical form.
 
-        Raises ParseError on malformed input.
+        Raises ParseError on malformed input or a literal too large for a
+        float.
         """
         if isinstance(source, bool):
             raise ParseError(f"expected a phase expression, got {source!r}")
@@ -280,31 +300,43 @@ class PhaseExpr:
             if not math.isfinite(source):
                 raise ParseError(f"non-finite phase value {source!r}")
             return cls(_render_number(float(source)))
-        tz = _Tokenizer(source)
-        node = _parse_expr(tz)
-        kind, tok = tz.peek()
-        if kind != "end":
-            raise tz.error(f"unexpected trailing input {tok!r}")
-        return cls(_render(node))
+        return cls(_render(_parse_text(source)))
+
+    @cached_property
+    def _node(self) -> _Node:
+        return _parse_text(self.text)
 
     @property
     def free_symbols(self) -> frozenset:
-        found = [s for s in _SYMBOLS if _mentions(self._node(), s)]
-        return frozenset(found)
-
-    def _node(self) -> _Node:
-        tz = _Tokenizer(self.text)
-        return _parse_expr(tz)
+        return frozenset(s for s in _SYMBOLS if _mentions(self._node, s))
 
     def evaluate(self, bindings: Mapping[str, float] | None = None) -> float:
         """Evaluate to a float; free symbols must appear in `bindings`.
 
-        Raises ValidationError for unbound symbols or division by zero.
+        Raises ValidationError for unbound symbols, division by zero, or a
+        result too large for a float.
         """
-        value = _to_float(_eval(self._node(), bindings or {}))
+        return self._finite(_to_float(_eval(self._node, bindings or {})))
+
+    def derivative(self, symbol: str,
+                   bindings: Mapping[str, float] | None = None) -> float:
+        """Exact derivative with respect to `symbol` at `bindings`; raises
+        like `evaluate`."""
+        return self._finite(_slope(self._node, bindings or {}, symbol))
+
+    def _finite(self, value: float) -> float:
         if not math.isfinite(value):
             raise ValidationError(f"phase expression {self.text!r} is not finite")
         return value
+
+
+def _parse_text(text: str) -> _Node:
+    tz = _Tokenizer(text)
+    node = _parse_expr(tz)
+    kind, tok = tz.peek()
+    if kind != "end":
+        raise tz.error(f"unexpected trailing input {tok!r}")
+    return node
 
 
 def _mentions(node: _Node, name: str) -> bool:

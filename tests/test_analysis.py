@@ -1,5 +1,6 @@
 """Sweeps, sensitivity maximization, bias search, and perturbation response."""
 
+import json
 import math
 
 import numpy as np
@@ -8,13 +9,19 @@ from numpy.testing import assert_allclose
 
 from multiport_lab import (
     GridSpec,
+    Link,
+    ScatteringMatrix,
     TargetUnreachableError,
+    Termination,
     ValidationError,
     builtin_netlist,
+    close_network,
+    evaluate_phase,
     find_bias_point,
     max_sensitivity,
     michelson_probabilities,
     netlist_device,
+    parse_netlist,
     perturbation_response,
     sensitivity_profile,
     slope,
@@ -42,7 +49,7 @@ def test_resolve_unknown_name():
         resolve_device("sagnac")
 
 
-@pytest.mark.parametrize("name", ["michelson", "grover-michelson"])
+@pytest.mark.parametrize("name", MODEL_NAMES)
 def test_netlist_device_tracks_closed_form(name):
     model = netlist_device(builtin_netlist(name), device_id=name)
     ref = resolve_device(name)
@@ -51,6 +58,66 @@ def test_netlist_device_tracks_closed_form(name):
         want = ref.probabilities(p1, p2)
         assert got.T == pytest.approx(want.T, abs=1e-12)
         assert got.R == pytest.approx(want.R, abs=1e-12)
+        assert model.dT_dphi1(p1, p2) == pytest.approx(
+            ref.dT_dphi1(p1, p2), rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_netlist_sweep_matches_closed_form(name):
+    got = sweep(netlist_device(builtin_netlist(name), device_id=name), 0.7,
+                GridSpec(0.0, TWO_PI, 257))
+    want = sweep(name, 0.7, GridSpec(0.0, TWO_PI, 257))
+    assert_allclose(got.T, want.T, rtol=0, atol=1e-12)
+    assert_allclose(got.dT_dphi1, want.dT_dphi1, rtol=1e-9, atol=1e-12)
+
+
+def _random_unitary(rng, n):
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+PHI1_PHASES = ("2*phi1", "-(phi1+pi/2)/3", "phi1*phi2", "phi1/3", "phi1")
+
+
+def test_resolvent_slope_matches_central_difference_on_random_networks():
+    """Exact dT/dphi1 of random sealed/linked unitaries vs a central difference
+    of close_network at the same phases."""
+    rng = np.random.default_rng(20230601)
+    h = 1e-5
+    for trial in range(24):
+        n = int(rng.integers(4, 7))
+        labels = [f"p{k + 1}" for k in range(n)]
+        closed = [str(p) for p in rng.permutation(labels)[: int(rng.integers(2, n))]]
+        u = _random_unitary(rng, n)
+        n_links = int(rng.integers(0, len(closed) // 2 + 1))
+        links = [{"port_a": f"u.{closed[2 * k]}", "port_b": f"u.{closed[2 * k + 1]}",
+                  "round_trip_phase": str(rng.choice(PHI1_PHASES))}
+                 for k in range(n_links)]
+        seals = [{"device": "u", "port": p, "phase": str(rng.choice(PHI1_PHASES)),
+                  "mirror": bool(rng.integers(0, 2))}
+                 for p in closed[2 * n_links:]]
+        net = parse_netlist(json.dumps({
+            "devices": [{"id": "u", "kind": "matrix",
+                         "matrix": [[[z.real, z.imag] for z in row] for row in u]}],
+            "seals": seals, "links": links}))
+        S = ScatteringMatrix(u, tuple(f"u.{l}" for l in labels))
+
+        def T(phi1, phi2):
+            b = {"phi1": phi1, "phi2": phi2}
+            terms = [Termination(f"u.{s['port']}", evaluate_phase(s["phase"], b),
+                                 s["mirror"]) for s in seals]
+            pairs = [Link(l["port_a"], l["port_b"],
+                          evaluate_phase(l["round_trip_phase"], b)) for l in links]
+            col = close_network(S, terms, pairs).effective.matrix[:, 0]
+            return float(np.sum(np.abs(col[1:]) ** 2))
+
+        model = netlist_device(net)
+        for _ in range(3):
+            p1, p2 = rng.uniform(0.0, TWO_PI, 2)
+            want = (T(p1 + h, p2) - T(p1 - h, p2)) / (2.0 * h)
+            assert model.probabilities(p1, p2).T == pytest.approx(T(p1, p2), abs=1e-12)
+            assert model.dT_dphi1(p1, p2) == pytest.approx(want, rel=1e-6, abs=1e-9), trial
 
 
 # --- grids and sweeps --------------------------------------------------------
@@ -79,26 +146,19 @@ def test_sweep_slope_column_tracks_transmission():
     assert_allclose(curve.dT_dphi1, expected, atol=1e-6)
 
 
-def test_sweep_samples_view():
-    curve = sweep("michelson", 0.0, GridSpec(0.0, 1.0, 3))
-    rows = curve.samples
-    assert len(rows) == 3
-    assert rows[0].phi1 == 0.0
-    assert rows[1].T == pytest.approx(michelson_probabilities(0.5, 0.0).T)
-
-
 def test_slope_matches_analytic_value():
     got = slope("michelson", np.pi / 2, 0.0)
     assert got == pytest.approx(0.5, abs=1e-8)
 
 
-def test_slope_finite_difference_consistency_grid():
-    # finite differences vs the closed-form derivative of the sine curve
+def test_slope_is_exact_on_grid():
+    # registry and netlist devices both return the derivative of the sine curve
     xs = np.linspace(0.0, TWO_PI, 1000)
-    worst = max(
-        abs(slope("michelson", float(x), 0.3) - 0.5 * math.sin(x - 0.3)) for x in xs
-    )
-    assert worst <= 1e-6
+    for device in ("michelson", builtin_netlist("michelson")):
+        worst = max(
+            abs(slope(device, float(x), 0.3) - 0.5 * math.sin(x - 0.3)) for x in xs
+        )
+        assert worst <= 1e-12
 
 
 # --- sensitivity maximization ------------------------------------------------
@@ -115,6 +175,14 @@ def test_grover_michelson_beats_michelson_at_pi():
     _, s_gm = max_sensitivity("grover-michelson", math.pi)
     assert s_gm > 0.5
     assert s_gm == pytest.approx(0.710310355, abs=1e-6)
+
+
+@pytest.mark.parametrize("phi2", [math.pi, 0.1, 1e-2, 1e-3])
+def test_netlist_max_sensitivity_matches_closed_form(phi2):
+    # a finite-difference slope used to come out 23 % low at phi2 = 1e-3
+    _, want = max_sensitivity("grover-michelson", phi2)
+    _, got = max_sensitivity(builtin_netlist("grover-michelson"), phi2)
+    assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_grover_michelson_sensitivity_diverges_toward_zero():
@@ -147,6 +215,13 @@ def test_grover_michelson_bias_sits_on_steep_flank():
 
 def test_bias_on_narrow_resonance_flank():
     bp = find_bias_point("grover-michelson", 1e-3, 0.5)
+    assert bp.T == pytest.approx(0.5, abs=1e-9)
+    assert abs(bp.slope) > 1e4
+
+
+def test_netlist_bias_on_narrow_resonance_flank():
+    # refused as unreachable while netlist slopes were finite differences
+    bp = find_bias_point(builtin_netlist("grover-michelson"), 1e-3, 0.5)
     assert bp.T == pytest.approx(0.5, abs=1e-9)
     assert abs(bp.slope) > 1e4
 

@@ -7,6 +7,7 @@ handling, and file writing are all exercised the way a user sees them.
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -16,8 +17,6 @@ CMD = [sys.executable, "-m", "multiport_lab"]
 
 
 def run(*args, env_extra=None, cwd=None):
-    import os
-
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -258,3 +257,39 @@ def test_fusion_builtin_prints_coin(tmp_path):
     values = [float(v) for v in res.stdout.splitlines()[1].split()]
     assert values[0] == pytest.approx(-0.5, abs=1e-12)
     assert values[2] == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("args", [
+    ("smatrix", "--device", "michelson", "--phi2", "1e400"),
+    ("smatrix", "--device", "michelson", "--phi1", "1e308*10"),
+    ("sweep", "--device", "michelson", "--phi2", "1e200*1e200"),
+    ("bias", "--device", "michelson", "--phi2", "1e400", "--target", "0.5"),
+])
+def test_overflowing_phase_is_a_validation_error(args):
+    res = run(*args)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:")
+    assert "Traceback" not in res.stderr
+
+
+def test_builtin_name_wins_over_file_in_every_command(tmp_path):
+    # a file named like a built-in must not shadow it in any command
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {"PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    (tmp_path / "fusion").write_text(json.dumps({
+        "devices": [{"id": "bs", "kind": "beamsplitter4"}],
+        "seals": [{"device": "bs", "port": "p3", "phase": "phi1"},
+                  {"device": "bs", "port": "p4", "phase": "phi2"}],
+    }))
+    res = run("smatrix", "--device", "fusion", cwd=tmp_path, env_extra=env)
+    assert res.returncode == 0
+    assert res.stdout.splitlines()[0] == "ports: left.p1 left.p2 right.p2 right.p3"
+    res = run("sweep", "--device", "fusion", "--phi2", "0", "--phi1-grid", "0:pi:5",
+              cwd=tmp_path, env_extra=env)
+    assert res.returncode == 0
+    rows = list(csv.reader(res.stdout.strip().splitlines()))[1:]
+    # fusion has no phi1: T is the constant 3/4 of the 4-port coin
+    assert [float(r[2]) for r in rows] == pytest.approx([0.75] * 5, abs=1e-12)
+    res = run("bias", "--device", "fusion", "--phi2", "0", "--target", "0.5",
+              cwd=tmp_path, env_extra=env)
+    assert res.returncode == 3
