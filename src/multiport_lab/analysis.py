@@ -9,8 +9,12 @@ relationship to pick an operating phi2 for a requested sensitivity.
 
 Every device carries its exact dT/dphi1: the closed forms differentiate
 their formulas, and a netlist device differentiates the closure itself with
-the resolvent identity, so no derivative here is a finite difference and no
-resonance is low-passed by a step size.
+the resolvent identity, so no derivative here is a finite difference.
+
+Every device also carries its closure (a closed form that of its built-in
+netlist), whose pole places each resonance in phi1 and gives its half-width
+w (~ phi2**2 for the grover-michelson): the searches resolve every scale
+around it on top of one fixed grid.  Without a pole the grid searches alone.
 
 Everything here is deterministic: fixed grids, fixed iteration counts, no
 randomness.  Devices are referenced by registry name ("michelson",
@@ -20,9 +24,10 @@ randomness.  Devices are referenced by registry name ("michelson",
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -37,9 +42,9 @@ from .devices import (
     michelson_dT_dphi1,
     michelson_probabilities,
 )
-from .errors import DegeneratePhaseError
-from .errors import TargetUnreachableError, ValidationError
-from .netlist import Netlist, compile_netlist
+from .errors import DegeneratePhaseError, TargetUnreachableError, ValidationError
+from .closure import CompiledClosure
+from .netlist import Netlist, builtin_netlist, compile_netlist
 
 TWO_PI = 2.0 * math.pi
 
@@ -47,15 +52,8 @@ COARSE_POINTS = 1024
 ZOOM_POINTS = 4096
 GOLDEN_TOL = 1e-9
 BISECT_TOL = 1e-9
-MAX_SCAN_POINTS = 2_097_152
-SCAN_CHUNK = 262_144
-#: adaptive-scan feature width clamp (radians); the narrow-resonance devices
-#: develop slope features of half-width ~ dist(phi2, 2*pi*Z)^2
-NARROW_WIDTH_FLOOR = 3e-12
-NARROW_WIDTH_CAP = 1e-2
 #: zoom cascades stop once the grid pitch is below this
-ZOOM_PITCH_NARROW = 1e-12
-ZOOM_PITCH_SMOOTH = 1e-9
+ZOOM_PITCH = 1e-9
 #: slopes below this are indistinguishable from evaluation roundoff
 SLOPE_NOISE_FLOOR = 1e-9
 
@@ -67,29 +65,30 @@ class DeviceModel:
     """Evaluatable device: vectorized (phi1, phi2) -> (R, T), plus the exact
     derivative dT/dphi1 with the same signature.
 
-    narrow_resonance marks devices whose slope develops features of
-    half-width ~ dist(phi2, 2*pi*Z)^2; scans densify accordingly.
+    closure, when set, returns the device's `CompiledClosure`; the searches
+    read the resonances of phi1 off its pole.
     """
 
     device_id: str
     probabilities: Callable[..., Probabilities]
     dT_dphi1: Callable[..., np.ndarray]
-    narrow_resonance: bool = False
+    closure: Optional[Callable[[], CompiledClosure]] = None
 
 
-_MODELS = {
-    "michelson": DeviceModel("michelson", michelson_probabilities,
-                             michelson_dT_dphi1),
-    "bs-cavity": DeviceModel("bs-cavity", bs_cavity_probabilities,
-                             bs_cavity_dT_dphi1),
-    "grover-single-seal": DeviceModel("grover-single-seal",
-                                      grover_single_seal_probabilities,
-                                      grover_single_seal_dT_dphi1),
-    "grover-michelson": DeviceModel("grover-michelson",
-                                    grover_michelson_probabilities,
-                                    grover_michelson_dT_dphi1,
-                                    narrow_resonance=True),
-}
+@functools.cache
+def _builtin_closure(name: str) -> CompiledClosure:
+    # compiled on first use: importing the package parses no netlist
+    return compile_netlist(builtin_netlist(name))
+
+
+#: closed forms, each attached to the built-in netlist of its name
+_MODELS = {name: DeviceModel(name, *forms, functools.partial(_builtin_closure, name))
+           for name, forms in {
+    "michelson": (michelson_probabilities, michelson_dT_dphi1),
+    "bs-cavity": (bs_cavity_probabilities, bs_cavity_dT_dphi1),
+    "grover-single-seal": (grover_single_seal_probabilities, grover_single_seal_dT_dphi1),
+    "grover-michelson": (grover_michelson_probabilities, grover_michelson_dT_dphi1),
+}.items()}
 
 MODEL_NAMES = tuple(sorted(_MODELS))
 
@@ -124,7 +123,8 @@ def netlist_device(netlist: Netlist, device_id: str = "netlist") -> DeviceModel:
         return Probabilities(R=R[()], T=T[()])
 
     return DeviceModel(device_id=device_id, probabilities=probabilities,
-                       dT_dphi1=lambda phi1, phi2: per_sample(phi1, phi2)[2][()])
+                       dT_dphi1=lambda phi1, phi2: per_sample(phi1, phi2)[2][()],
+                       closure=lambda: closure)
 
 
 def resolve_device(device: DeviceLike) -> DeviceModel:
@@ -247,46 +247,37 @@ def sweep(device: DeviceLike, phi2: float, grid: GridSpec) -> SweepCurve:
     )
 
 
-# --- sensitivity maximization ----------------------------------------------
+# --- resonances ------------------------------------------------------------
 
-def _scan_points(model: DeviceModel, phi2: float) -> int:
-    """Coarse-scan size: a few points per slope-feature width.
-
-    For narrow-resonance devices the feature half-width shrinks like the
-    *square* of the distance from phi2 to the nearest multiple of 2*pi, so
-    the wanted density is usually capped; the zoom cascade in
-    `max_sensitivity` does the rest.  The cap is chosen so that even at the
-    cap the |slope| tail of the resonance (falling off as 1/u^3) still
-    dominates the smooth background at the nearest grid point, keeping the
-    coarse argmax inside the right basin.
-    """
-    if not model.narrow_resonance:
-        return COARSE_POINTS
-    dist = abs(math.remainder(phi2, TWO_PI))  # distance to nearest 2*pi*k
-    width = min(max(dist * dist, NARROW_WIDTH_FLOOR), NARROW_WIDTH_CAP)
-    wanted = int(math.ceil(2.0 * TWO_PI / width))
-    return min(max(COARSE_POINTS, wanted), MAX_SCAN_POINTS)
+def _resonances(model: DeviceModel, phi2: float, lo: float,
+                hi: float) -> list[tuple[float, float]]:
+    """(centre, half-width) of the model's pole resonances in phi1, from the
+    last centre at or below lo to the first at or above hi."""
+    pole = None if model.closure is None else model.closure().phi1_pole({"phi2": float(phi2)})
+    if pole is None:
+        return []
+    c, w, p = pole
+    return [(c + k * p, w) for k in range(math.floor((lo - c) / p), math.ceil((hi - c) / p) + 1)]
 
 
-def _scan_max_abs_slope(model: DeviceModel, phi2: float,
-                        lo: float, hi: float, count: int) -> tuple[float, float, float]:
-    """Max |dT/dphi1| over a linear grid, chunked; returns (x*, |s|*, spacing)."""
-    spacing = (hi - lo) / count
-    best_x, best_s = lo, -1.0
-    for start in range(0, count + 1, SCAN_CHUNK):
-        idx = np.arange(start, min(start + SCAN_CHUNK, count + 1))
-        x = lo + spacing * idx
-        s = np.abs(model.dT_dphi1(x, phi2))
-        k = int(np.argmax(s))
-        if s[k] > best_s:
-            best_s = float(s[k])
-            best_x = float(x[k])
-    return best_x, best_s, spacing
+def _search_grid(lo: float, hi: float, features) -> np.ndarray:
+    """Sorted samples of [lo, hi]: a uniform grid plus, around each feature
+    (centre c, width w), the offsets c +- w*2^(k/8), which cover every scale
+    from w out to the far end of the interval."""
+    parts = [np.linspace(lo, hi, COARSE_POINTS + 1)]
+    for c, w in features:
+        octaves = math.log2(max(abs(c - lo), abs(c - hi), w) / w)
+        offsets = w * 2.0 ** (np.arange(math.ceil(8.0 * octaves) + 1) / 8.0)
+        parts += [[c], c - offsets, c + offsets]
+    # sorted(), not np.sort: that pages in ~0.4 MB of SIMD sort code
+    x = np.array(sorted(np.concatenate(parts).tolist()))
+    return x[(x >= lo) & (x <= hi)]
 
 
 def _golden_max(f: Callable[[float], float], lo: float, hi: float,
                 tol: float) -> tuple[float, float]:
     """Golden-section maximization of a unimodal f on [lo, hi]."""
+    tol = max(tol, 4.0 * math.ulp(max(abs(lo), abs(hi))))  # else never met
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
@@ -306,34 +297,39 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float,
     return d, fd
 
 
-def max_sensitivity(device: DeviceLike, phi2: float) -> tuple[float, float]:
-    """Global maximum of |dT/dphi1| over phi1 in [0, 2*pi] at fixed phi2.
+# --- sensitivity maximization ----------------------------------------------
 
-    Coarse grid scan (densified near resonances), then a cascade of zoom
-    rescans around the best cell until the grid pitch resolves the feature,
-    finished with golden-section refinement to 1e-9 in phi1.  The |slope|
-    landscape around a resonance is a pair of peaks falling off
-    monotonically, so each level's argmax stays in the winning basin and the
-    final bracket is unimodal.  Returns (argmax_phi1, max_abs_slope).
+def max_sensitivity(device: DeviceLike, phi2: float) -> tuple[float, float]:
+    """Global maximum of |dT/dphi1| over phi1 in [0, 2*pi] at fixed phi2,
+    as (argmax_phi1, max_abs_slope).
+
+    A fixed coarse grid, zoom rescans around its best cell down to a 1e-9
+    pitch and a golden section find the background's maximum.  Each pole
+    resonance (centre c, half-width w) adds a golden section of each flank,
+    [c - 4w, c] and [c, c + 4w], to 1e-6 w: |dT/dphi1| peaks once on each,
+    about w/sqrt(3) from c, however narrow w is.  The best of these wins.
     """
     model = resolve_device(device)
-    n = _scan_points(model, phi2)
-    x_best, s_best, pitch = _scan_max_abs_slope(model, phi2, 0.0, TWO_PI, n)
+    lo, hi, n, x_best, s_best = 0.0, TWO_PI, COARSE_POINTS, 0.0, -1.0
+    while True:
+        x = np.linspace(lo, hi, n + 1)
+        s = np.abs(model.dT_dphi1(x, phi2))
+        k = int(np.argmax(s))
+        if s[k] > s_best:
+            x_best, s_best = float(x[k]), float(s[k])
+        pitch = (hi - lo) / n
+        if pitch <= ZOOM_PITCH:
+            break
+        lo, hi, n = x_best - pitch, x_best + pitch, ZOOM_POINTS
 
-    floor = ZOOM_PITCH_NARROW if model.narrow_resonance else ZOOM_PITCH_SMOOTH
-    while pitch > floor:
-        zx, zs, pitch = _scan_max_abs_slope(
-            model, phi2, x_best - pitch, x_best + pitch, ZOOM_POINTS
-        )
-        if zs > s_best:
-            x_best, s_best = zx, zs
-
-    gx, gs = _golden_max(
-        lambda x: float(np.abs(model.dT_dphi1(x, phi2))),
-        x_best - pitch, x_best + pitch, GOLDEN_TOL,
-    )
-    if gs > s_best:
-        x_best, s_best = gx, gs
+    brackets = [(x_best - pitch, x_best + pitch, GOLDEN_TOL)]
+    for c, w in _resonances(model, phi2, 0.0, TWO_PI):
+        if 0.0 <= c <= TWO_PI:
+            brackets += [(c - 4.0 * w, c, 1e-6 * w), (c, c + 4.0 * w, 1e-6 * w)]
+    for lo, hi, tol in brackets:
+        gx, gs = _golden_max(lambda x: float(np.abs(model.dT_dphi1(x, phi2))), lo, hi, tol)
+        if gs > s_best:
+            x_best, s_best = gx, gs
     return x_best % TWO_PI, s_best
 
 
@@ -385,68 +381,47 @@ def find_bias_point(device: DeviceLike, phi2: float, target_T: float,
     model = resolve_device(device)
     target = float(target_T)
 
+    # Attainable range: a grid resolving every scale around the resonances
+    # and the steepest point, its extreme samples refined between neighbours.
     x_star, _ = max_sensitivity(model, phi2)
-
-    # Attainable range: a global scan, refined locally around the steepest
-    # point so that a resonance much narrower than the global pitch still
-    # contributes its full excursion.
-    n = min(_scan_points(model, phi2), ZOOM_POINTS * 32)
-    grid = np.linspace(0.0, TWO_PI, n + 1)
-    T_grid = np.broadcast_to(model.probabilities(grid, phi2).T, grid.shape).copy()
-    spacing = TWO_PI / n
-    local = x_star + np.linspace(-spacing, spacing, ZOOM_POINTS + 1)
-    T_local = np.broadcast_to(model.probabilities(local, phi2).T, local.shape)
-    t_lo = min(float(np.min(T_grid)), float(np.min(T_local)))
-    t_hi = max(float(np.max(T_grid)), float(np.max(T_local)))
+    grid = _search_grid(0.0, TWO_PI, _resonances(model, phi2, 0.0, TWO_PI) + [(x_star, GOLDEN_TOL)])
+    T_grid = np.broadcast_to(model.probabilities(grid, phi2).T, grid.shape)
+    for sign in (1.0, -1.0):
+        k = int(np.argmax(sign * T_grid))
+        a, b = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
+        x, sT = _golden_max(lambda x: sign * float(model.probabilities(x, phi2).T),
+                            a, b, 1e-6 * (b - a))
+        at = np.searchsorted(grid, x)
+        grid, T_grid = np.insert(grid, at, x), np.insert(T_grid, at, sign * sT)
+    t_lo, t_hi = float(np.min(T_grid)), float(np.max(T_grid))
     if not (t_lo - tol <= target <= t_hi + tol):
         raise TargetUnreachableError(
             f"target T={target!r} outside attainable range "
             f"[{t_lo:.6g}, {t_hi:.6g}] at phi2={phi2!r}"
         )
+    goal = min(max(target, t_lo), t_hi)
 
     # March away from the steepest point along its monotone segment until T
-    # crosses the target, then bisect inside the crossing step.  Offsets
-    # double each step, so a feature of any width down to ~1e-9 rad is
-    # resolved near the start while the whole period is still covered in
-    # a few dozen evaluations.
-    def march(direction: float):
-        x_prev = x_star
-        T_prev = float(model.probabilities(x_prev, phi2).T)
-        s_prev = float(model.dT_dphi1(x_prev, phi2))
-        offset = GOLDEN_TOL
-        while offset < TWO_PI:
-            x_next = x_star + direction * offset
-            T_next = float(model.probabilities(x_next, phi2).T)
-            if (T_prev - target) * (T_next - target) <= 0.0:
-                return _bisect_T(model, phi2, target, x_prev, x_next, tol)
-            s_next = float(model.dT_dphi1(x_next, phi2))
-            if s_next * s_prev < 0.0:
-                return None  # left the monotone segment without crossing
-            x_prev, T_prev, s_prev = x_next, T_next, s_next
-            offset *= 2.0
-        return None
-
-    solution = march(+1.0)
-    if solution is None:
-        solution = march(-1.0)
-    if solution is None:
-        # Target is attainable but not on the steep segment: take any
-        # crossing of the dense scan.
-        straddle = np.nonzero((T_grid[:-1] - target) * (T_grid[1:] - target) <= 0.0)[0]
-        if straddle.size == 0:
-            raise TargetUnreachableError(
-                f"no phi1 with T={target!r} found at phi2={phi2!r}"
-            )
-        k = int(straddle[0])
-        solution = _bisect_T(model, phi2, target, float(grid[k]), float(grid[k + 1]), tol)
-
-    phi1 = solution % TWO_PI
-    return BiasPoint(
-        phi1=phi1,
-        phi2=float(phi2),
-        T=float(model.probabilities(phi1, phi2).T),
-        slope=float(model.dT_dphi1(phi1, phi2)),
-    )
+    # crosses the goal, then bisect inside the crossing step.  Offsets
+    # double from 1e-9 rad, so 33 steps span the period.
+    steps = np.concatenate(([0.0], GOLDEN_TOL * 2.0 ** np.arange(33)))
+    for direction in (1.0, -1.0):
+        x = x_star + direction * steps
+        T = model.probabilities(x, phi2).T
+        s = model.dT_dphi1(x, phi2)
+        crossed = (T[:-1] - goal) * (T[1:] - goal) <= 0.0
+        stop = np.nonzero(crossed | (s[:-1] * s[1:] < 0.0))[0]  # or left the segment
+        if stop.size and crossed[stop[0]]:
+            k = int(stop[0])
+            break
+    else:
+        # The segment misses the goal, or a doubling step jumped over its
+        # crossing: take the grid's first.
+        x = grid
+        k = int(np.nonzero((T_grid[:-1] - goal) * (T_grid[1:] - goal) <= 0.0)[0][0])
+    phi1 = _bisect_T(model, phi2, goal, float(x[k]), float(x[k + 1]), tol) % TWO_PI
+    return BiasPoint(phi1, float(phi2), float(model.probabilities(phi1, phi2).T),
+                     float(model.dT_dphi1(phi1, phi2)))
 
 
 def perturbation_response(device: DeviceLike, bias: BiasPoint,
@@ -454,30 +429,20 @@ def perturbation_response(device: DeviceLike, bias: BiasPoint,
     """Transmittance change when phi1 shifts by delta from the bias point.
 
     saturated reports whether dT/dphi1 changes sign anywhere on the traversed
-    interval: if it does, the operating point crossed an extremum and the
+    interval, sampled on a grid that resolves every scale around the
+    resonances: if it does, the operating point crossed an extremum and the
     readout no longer maps |delta T| back to a unique delta.
     """
+    if delta == 0.0:
+        return PerturbationResponse(delta_T=0.0, saturated=False)
     model = resolve_device(device)
     T0 = float(model.probabilities(bias.phi1, bias.phi2).T)
     T1 = float(model.probabilities(bias.phi1 + delta, bias.phi2).T)
-    if delta == 0.0:
-        return PerturbationResponse(delta_T=0.0, saturated=False)
-
     lo, hi = sorted((bias.phi1, bias.phi1 + delta))
-    n_density = _scan_points(model, bias.phi2)
-    count = int(math.ceil((hi - lo) / TWO_PI * n_density))
-    count = min(max(count, COARSE_POINTS), MAX_SCAN_POINTS)
-    has_pos = False
-    has_neg = False
-    for start in range(0, count + 1, SCAN_CHUNK):
-        idx = np.arange(start, min(start + SCAN_CHUNK, count + 1))
-        x = lo + (hi - lo) * idx / count
-        s = model.dT_dphi1(x, bias.phi2)
-        has_pos = has_pos or bool(np.any(s > SLOPE_NOISE_FLOOR))
-        has_neg = has_neg or bool(np.any(s < -SLOPE_NOISE_FLOOR))
-        if has_pos and has_neg:
-            break
-    return PerturbationResponse(delta_T=T1 - T0, saturated=has_pos and has_neg)
+    grid = _search_grid(lo, hi, _resonances(model, bias.phi2, lo, hi))
+    s = model.dT_dphi1(grid, bias.phi2)
+    saturated = bool(np.any(s > SLOPE_NOISE_FLOOR) and np.any(s < -SLOPE_NOISE_FLOOR))
+    return PerturbationResponse(delta_T=T1 - T0, saturated=saturated)
 
 
 # --- sensitivity-targeted tuning -------------------------------------------

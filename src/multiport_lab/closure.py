@@ -12,7 +12,8 @@ to the amplitudes re-entering the device, the effective matrix is
 which this module evaluates by a dense LU solve.  The equivalent truncated
 round-trip series is kept as an independent cross-check
 (`close_series_truncated`); it converges whenever the spectral radius of
-S_cc F is below one.
+S_cc F is below one.  The root of det(I - S_cc F) places phi1's resonance
+(`CompiledClosure.phi1_pole`).
 
 Feedback conventions:
   * mirror seal      -> diagonal entry -exp(i*phi)   (mirror contributes the
@@ -27,13 +28,15 @@ Feedback conventions:
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .core import ScatteringMatrix
 from .errors import PortError, SingularClosureError
+from .phase_expr import PhaseExpr
 
 #: Reciprocal-condition threshold below which (I - S_cc F) counts as a
 #: lossless resonance and closure refuses to solve.
@@ -162,6 +165,39 @@ class CompiledClosure:
             if slope is not None:
                 dF[where] = 1j * share * slope(phase) * amp
         return F, dF
+
+    def phi1_pole(self, bindings: Mapping[str, float]) -> Optional[tuple[float, float, float]]:
+        """(centre, half-width, period) in phi1 of the resonance of the one
+        seal whose phase a*phi1 + b carries phi1, at `bindings` of the other
+        symbols; None if phi1 enters a link, several entries or a phase not
+        affine in it.
+
+        The seal's entry sign*z scales one column of I - S_cc F, so the
+        determinant is affine in z and vanishes at z* = d(0)/(d(0) - d(1)):
+        centre (arg z* - b)/a, half-width |log|z*||/|a|, the Fabry-Perot
+        linewidth.  A root on the unit circle is a bound state that the open
+        ports never see.
+        """
+        carriers = [loop for loop in self.loops
+                    if isinstance(loop[3], PhaseExpr) and "phi1" in loop[3].free_symbols]
+        if len(carriers) != 1:
+            return None
+        where, sign, share, phase = carriers[0]
+        if share != 1.0 or not phase.is_affine_in("phi1"):
+            return None
+        at0 = {**bindings, "phi1": 0.0}
+        a, b = phase.derivative("phi1", at0), phase.evaluate(at0)
+        F, _ = self.feedback(lambda p: p.evaluate(at0) if isinstance(p, PhaseExpr) else float(p))
+
+        def det(z):
+            F[where] = sign * z
+            return complex(np.linalg.det(np.eye(len(F)) - self.blocks[3] @ F))
+
+        d0, d1 = det(0.0), det(1.0)
+        root = d0 / (d0 - d1) if d0 != d1 else 0.0
+        if a == 0.0 or abs(root) in (0.0, 1.0):
+            return None
+        return (cmath.phase(root) - b) / a, abs(math.log(abs(root)) / a), 2.0 * math.pi / abs(a)
 
     def solve(self, value=float, slope=None):
         """(S_eff, condition of I - S_cc F, dS_eff/dphi1 or None); see `feedback`.

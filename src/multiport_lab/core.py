@@ -85,25 +85,12 @@ class PortState:
         a.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)
 
-    @classmethod
-    def basis(cls, n: int, port: int) -> "PortState":
-        """Unit excitation of one port (0-based index)."""
-        a = np.zeros(n, dtype=np.complex128)
-        a[port] = 1.0
-        return cls(a)
-
     @property
     def n_ports(self) -> int:
         return self.amplitudes.size
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def check_normalized(self, tol: float = 1e-10) -> None:
-        """Raise if the squared norm is not 1 within tol; never renormalizes."""
-        dev = abs(self.norm() ** 2 - 1.0)
-        if dev > tol:
-            raise ValidationError(f"state is not normalized: |sum |c|^2 - 1| = {dev:.3e}")
 
 
 def make_beam_splitter_4port() -> ScatteringMatrix:

@@ -13,7 +13,8 @@ therefore evaluates to the same float on every run.
 
 `PhaseExpr` stores the canonical rendering of the parsed tree and caches
 the tree itself; two expressions compare equal iff their canonical texts
-match.  `PhaseExpr.derivative` applies the chain rule over that tree.
+match.  `PhaseExpr.derivative` applies the chain rule over that tree, and
+`PhaseExpr.is_affine_in` reads affinity in a symbol off it.
 """
 
 from __future__ import annotations
@@ -308,7 +309,7 @@ class PhaseExpr:
 
     @property
     def free_symbols(self) -> frozenset:
-        return frozenset(s for s in _SYMBOLS if _mentions(self._node, s))
+        return frozenset(s for s in _SYMBOLS if _degree(self._node, s))
 
     def evaluate(self, bindings: Mapping[str, float] | None = None) -> float:
         """Evaluate to a float; free symbols must appear in `bindings`.
@@ -323,6 +324,11 @@ class PhaseExpr:
         """Exact derivative with respect to `symbol` at `bindings`; raises
         like `evaluate`."""
         return self._finite(_slope(self._node, bindings or {}, symbol))
+
+    def is_affine_in(self, symbol: str) -> bool:
+        """Whether the tree is affine in `symbol` (``phi1*phi1 - phi1*phi1``
+        is not: products and divisors are read as written)."""
+        return _degree(self._node, symbol) <= 1
 
     def _finite(self, value: float) -> float:
         if not math.isfinite(value):
@@ -339,14 +345,18 @@ def _parse_text(text: str) -> _Node:
     return node
 
 
-def _mentions(node: _Node, name: str) -> bool:
+def _degree(node: _Node, name: str) -> int:
+    """0 if node does not mention `name`, 1 if affine in it, else 2."""
     if isinstance(node, _Sym):
-        return node.name == name
+        return int(node.name == name)
     if isinstance(node, _Neg):
-        return _mentions(node.operand, name)
-    if isinstance(node, _BinOp):
-        return _mentions(node.left, name) or _mentions(node.right, name)
-    return False
+        return _degree(node.operand, name)
+    if not isinstance(node, _BinOp):
+        return 0
+    left, right = _degree(node.left, name), _degree(node.right, name)
+    if node.op in "+-":
+        return max(left, right)
+    return min(left + right, 2) if node.op == "*" else (2 if right else left)
 
 
 def evaluate_phase(source: Union[str, int, float],

@@ -1,5 +1,6 @@
 """Sweeps, sensitivity maximization, bias search, and perturbation response."""
 
+import dataclasses
 import json
 import math
 
@@ -18,6 +19,7 @@ from multiport_lab import (
     close_network,
     evaluate_phase,
     find_bias_point,
+    grover_michelson_dT_dphi1,
     max_sensitivity,
     michelson_probabilities,
     netlist_device,
@@ -29,6 +31,8 @@ from multiport_lab import (
     sweep,
 )
 from multiport_lab.analysis import MODEL_NAMES, resolve_device
+from multiport_lab.cli import _phi2_grid_values
+from multiport_lab.netlist import compile_netlist
 
 TWO_PI = 2.0 * math.pi
 
@@ -185,6 +189,108 @@ def test_netlist_max_sensitivity_matches_closed_form(phi2):
     assert got == pytest.approx(want, rel=1e-9)
 
 
+def _dense_max_abs_slope(dT, spans):
+    """Max |dT(x)| over dense linear scans [(lo, hi, n)], each rescanned
+    at a thousandth of its pitch around its eight largest samples."""
+    best = 0.0
+    for lo, hi, n in spans:
+        x = np.linspace(lo, hi, n)
+        s = np.abs(dT(x))
+        pitch = x[1] - x[0]
+        for k in np.argsort(s)[-8:]:
+            fine = np.linspace(x[k] - pitch, x[k] + pitch, 2001)
+            best = max(best, float(np.max(np.abs(dT(fine)))))
+    return best
+
+
+def test_default_sensitivity_grid_reaches_the_global_maximum():
+    # the documented `sensitivity` default; the search used to return the
+    # lower flank of the resonance on about one row in four
+    for p2 in _phi2_grid_values(GridSpec(1e-5, TWO_PI - 1e-5, 64), "log-edges"):
+        p2 = float(p2)
+        width = math.remainder(p2, TWO_PI) ** 2
+        want = _dense_max_abs_slope(
+            lambda x: grover_michelson_dT_dphi1(x, p2),
+            [(0.0, TWO_PI, 20001), (-p2 - 10.0 * width, -p2 + 10.0 * width, 40001)])
+        _, got = max_sensitivity("grover-michelson", p2)
+        # a few ulps of phi1 near 2*pi span this much of the resonance
+        rtol = 1e-7 + 4.0 * math.ulp(TWO_PI) / width
+        assert got >= want * (1.0 - rtol), p2
+
+
+@pytest.mark.parametrize("phi2", [math.pi, 0.1, 1e-3, 1e-5])
+def test_max_sensitivity_work_does_not_grow_as_the_resonance_narrows(phi2):
+    # the scan used to densify as 1/phi2**2: 2.1M points at phi2 <= 1e-3
+    model = resolve_device("grover-michelson")
+    points = []
+
+    def counted(f):
+        def evaluate(phi1, p2):
+            points.append(np.size(phi1))
+            return f(phi1, p2)
+        return evaluate
+
+    max_sensitivity(dataclasses.replace(model, probabilities=counted(model.probabilities),
+                                        dT_dphi1=counted(model.dT_dphi1)), phi2)
+    assert sum(points) <= 20_000
+
+
+# phi1 enters these closures through a link, through two seals, and through a
+# phase that is not affine in it, so none has a pole and the fixed grid with
+# its zoom cascade is the whole search.  Each pairs its netlist with dT/dphi1
+# in closed form.
+WITHOUT_POLE = {
+    # the phi1 mirror moved behind a link to a 1-port mirror: r = -1, and
+    # exp(i phi1/2) each way makes the same round trip
+    "link": ({
+        "devices": [{"id": "g", "kind": "grover(4)"},
+                    {"id": "m", "kind": "matrix", "matrix": [[-1]]}],
+        "seals": [{"device": "g", "port": "p4", "phase": "phi2"}],
+        "links": [{"port_a": "g.p3", "port_b": "m.p1", "round_trip_phase": "phi1"}],
+        "open_ports": ["g.p1", "g.p2"]},
+        grover_michelson_dT_dphi1),
+    # a second phi1 seal on a splitter that no light from g.p1 reaches
+    "two-seals": ({
+        "devices": [{"id": "g", "kind": "grover(4)"}, {"id": "h", "kind": "hadamard2"}],
+        "seals": [{"device": "g", "port": "p3", "phase": "phi1"},
+                  {"device": "g", "port": "p4", "phase": "phi2"},
+                  {"device": "h", "port": "p1", "phase": "phi1"}],
+        "open_ports": ["g.p1", "g.p2", "h.p2"]},
+        grover_michelson_dT_dphi1),
+    "not-affine": ({
+        "devices": [{"id": "g", "kind": "grover(4)"}],
+        "seals": [{"device": "g", "port": "p3", "phase": "phi1*phi1/(2*pi)"},
+                  {"device": "g", "port": "p4", "phase": "phi2"}]},
+        lambda x, p2: grover_michelson_dT_dphi1(x * x / TWO_PI, p2) * x / math.pi),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WITHOUT_POLE))
+def test_netlist_without_pole_max_sensitivity_matches_a_dense_scan(case):
+    doc, dT = WITHOUT_POLE[case]
+    net = parse_netlist(json.dumps(doc))
+    assert compile_netlist(net).phi1_pole({"phi2": 0.5}) is None
+    want = _dense_max_abs_slope(lambda x: dT(x, 0.5), [(0.0, TWO_PI, 65537)])
+    _, got = max_sensitivity(net, 0.5)
+    assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_pole_through_a_scaled_phase_places_both_resonances():
+    # phase 2*phi1 - pi/3 puts two copies of the 1e-6-wide resonance in
+    # [0, 2*pi], each twice as steep in phi1 as in the phase
+    net = parse_netlist(json.dumps({
+        "devices": [{"id": "g", "kind": "grover(4)"}],
+        "seals": [{"device": "g", "port": "p3", "phase": "2*phi1-pi/3"},
+                  {"device": "g", "port": "p4", "phase": "phi2"}]}))
+    centre, half_width, period = compile_netlist(net).phi1_pole({"phi2": 1e-3})
+    z = 2.0 - np.exp(1e-3j)
+    assert (centre, half_width, period) == pytest.approx(
+        ((np.angle(z) + math.pi / 3) / 2, np.log(np.abs(z)) / 2, math.pi), rel=1e-9)
+    _, want = max_sensitivity("grover-michelson", 1e-3)
+    _, got = max_sensitivity(net, 1e-3)
+    assert got == pytest.approx(2.0 * want, rel=1e-9)
+
+
 def test_grover_michelson_sensitivity_diverges_toward_zero():
     _, s3 = max_sensitivity("grover-michelson", 1e-3)
     _, s5 = max_sensitivity("grover-michelson", 1e-5)
@@ -226,6 +332,25 @@ def test_netlist_bias_on_narrow_resonance_flank():
     assert abs(bp.slope) > 1e4
 
 
+@pytest.mark.parametrize("phi2, target", [(1e-4, 0.9), (1e-5, 0.99), (0.1, 0.999999)])
+def test_bias_reaches_targets_near_the_resonance_peak(phi2, target):
+    # refused as unreachable while the range scan under-resolved the peak
+    bp = find_bias_point("grover-michelson", phi2, target)
+    # one ulp of phi1 moves T by |slope| ulp
+    assert bp.T == pytest.approx(target, abs=max(1e-9, 4.0 * abs(bp.slope) * math.ulp(bp.phi1)))
+
+
+@pytest.mark.parametrize("phi2, target, phi1", [
+    (0.1, 0.99, 6.182170928828558),
+    (0.01, 0.999999, 6.273185207158713),
+])
+def test_bias_on_the_steep_flank_keeps_its_crossing(phi2, target, phi1):
+    bp = find_bias_point("grover-michelson", phi2, target)
+    assert bp.T == pytest.approx(target, abs=1e-9)
+    # both bisections stop within 1e-9 in T of the same crossing
+    assert bp.phi1 == pytest.approx(phi1, abs=2e-9 / abs(bp.slope))
+
+
 def test_bias_target_above_range():
     with pytest.raises(TargetUnreachableError):
         find_bias_point("michelson", 0.0, 2.0)
@@ -263,6 +388,13 @@ def test_large_delta_saturates():
     bp = find_bias_point("grover-michelson", 1e-3, 0.5)
     resp = perturbation_response("grover-michelson", bp, 1.0)
     assert resp.saturated
+
+
+def test_delta_across_the_transmission_zero_saturates():
+    # T = 0 at phi1 = 0 lies 1e5 resonance half-widths from the bias point,
+    # and the slope changes sign there over a span of only about phi2
+    bp = find_bias_point("grover-michelson", 1e-5, 0.5)
+    assert perturbation_response("grover-michelson", bp, 1.5).saturated
 
 
 def test_negative_delta_scans_backwards():

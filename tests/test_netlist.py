@@ -1,5 +1,6 @@
 """Netlist parsing, validation, canonical rendering, and closure."""
 
+import cmath
 import json
 import math
 
@@ -19,7 +20,7 @@ from multiport_lab import (
     parse_netlist,
     render_netlist,
 )
-from multiport_lab.netlist import BUILTIN_NETLIST_NAMES
+from multiport_lab.netlist import BUILTIN_NETLIST_NAMES, compile_netlist
 
 
 def minimal_gm():
@@ -225,6 +226,18 @@ def test_builtin_michelson_agrees_with_formula():
 def test_builtin_fusion_closes_to_grover4():
     dev = close_netlist(builtin_netlist("fusion"))
     assert_allclose(dev.effective.matrix, make_grover_coin(4).matrix, atol=1e-13)
+
+
+@pytest.mark.parametrize("phi2", [math.pi, 0.1, 1e-3, 1e-5])
+def test_grover_michelson_pole(phi2):
+    # det(I - S_cc F) = 1 - (z1 + z2)/2 vanishes at z1 = 2 - z2
+    centre, half_width, period = compile_netlist(
+        builtin_netlist("grover-michelson")).phi1_pole({"phi2": phi2})
+    want = 2.0 - cmath.exp(1j * phi2)
+    assert centre == pytest.approx(cmath.phase(want), rel=1e-14, abs=1e-16)
+    # |z*| - 1 ~ phi2**2 keeps about 16 + log10(phi2**2) digits
+    assert half_width == pytest.approx(math.log(abs(want)), rel=1e-5)
+    assert period == 2.0 * math.pi
 
 
 def test_unknown_builtin_name():

@@ -137,6 +137,20 @@ def test_derivative_errors_like_evaluate():
         PhaseExpr.parse("1e300*phi1*phi1").derivative("phi1", {"phi1": 1e10})
 
 
+@pytest.mark.parametrize("src, affine", [
+    ("phi1", True),
+    ("-(phi1+pi/2)/3", True),
+    ("2*phi1-phi2*phi2", True),
+    ("phi2*(phi1-1)/pi", True),
+    ("phi1*phi1", False),
+    ("phi1*phi1-phi1*phi1", False),
+    ("1/phi1", False),
+    ("pi/(phi1+1)", False),
+])
+def test_affinity_is_read_off_the_tree(src, affine):
+    assert PhaseExpr.parse(src).is_affine_in("phi1") is affine
+
+
 def test_overflowing_literal_rejected():
     with pytest.raises(ParseError):
         PhaseExpr.parse("1e400")
