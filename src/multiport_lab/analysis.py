@@ -56,6 +56,9 @@ BISECT_TOL = 1e-9
 ZOOM_PITCH = 1e-9
 #: slopes below this are indistinguishable from evaluation roundoff
 SLOPE_NOISE_FLOOR = 1e-9
+#: largest grid `GridSpec` builds (2^22): a sweep holds several float
+#: arrays of this length, about 32 MiB each
+MAX_GRID_POINTS = 2 ** 22
 
 
 # --- device models ---------------------------------------------------------
@@ -101,29 +104,42 @@ def netlist_device(netlist: Netlist, device_id: str = "netlist") -> DeviceModel:
     Input enters the first open port; R is the probability of exiting back out
     of it and T the total probability over the remaining open ports.  phi1 and
     phi2 are bound to any matching free symbols in the netlist's phases.  The
-    netlist is compiled once and each sample is one closure solve, which also
-    gives the exact dT/dphi1 = 2 Re sum_{i>=1} conj(s_i0) ds_i0.
+    netlist is compiled once, and a phi1 grid is solved as stacked closures,
+    `CompiledClosure.stack_size` samples at a time so that each stack of
+    closed blocks stays within `closure.STACK_BYTES` (64 KiB).  The solves
+    give the exact dT/dphi1 = 2 Re sum_{i>=1} conj(s_i0) ds_i0, and a point
+    gets the same bits alone as inside a grid.
     """
     closure = compile_netlist(netlist)
+    stack = closure.stack_size
 
-    def per_sample(phi1, phi2):
+    def evaluate(phi1, phi2, slope: bool) -> np.ndarray:
+        """R, T and (if slope) dT/dphi1 stacked on a leading axis."""
         grid = np.asarray(phi1, dtype=np.float64)
-        out = np.empty((3,) + grid.shape)
-        for i, x in np.ndenumerate(grid):
-            b = {"phi1": float(x), "phi2": float(phi2)}
+        flat = grid.reshape(-1)
+        out = np.empty((3 if slope else 2, flat.size))
+        for at in range(0, flat.size, stack):
+            b = {"phi1": flat[at:at + stack], "phi2": float(phi2)}
             S, _, dS = closure.solve(lambda p: p.evaluate(b),
-                                     lambda p: p.derivative("phi1", b))
-            t = S[1:, 0]
-            out[(slice(None),) + i] = (abs(S[0, 0]) ** 2, np.sum(np.abs(t) ** 2),
-                                       2.0 * np.sum(t.conj() * dS[1:, 0]).real)
-        return out
+                                     (lambda p: p.derivative("phi1", b)) if slope else None)
+            # |s_i0|^2 and Re(conj(s_i0) ds_i0) in real arithmetic, which
+            # rounds alike in every SIMD lane
+            re, im = S[..., :, 0].real, S[..., :, 0].imag
+            rows = [re[..., 0] ** 2 + im[..., 0] ** 2,
+                    np.sum(re[..., 1:] ** 2 + im[..., 1:] ** 2, axis=-1)]
+            if slope:
+                ds = dS[..., 1:, 0]
+                rows.append(2.0 * np.sum(re[..., 1:] * ds.real + im[..., 1:] * ds.imag, axis=-1))
+            for row, value in zip(out, rows):  # broadcasts if no phase has phi1
+                row[at:at + stack] = value
+        return out.reshape(out.shape[:1] + grid.shape)
 
     def probabilities(phi1, phi2):
-        R, T, _ = per_sample(phi1, phi2)
+        R, T = evaluate(phi1, phi2, False)
         return Probabilities(R=R[()], T=T[()])
 
     return DeviceModel(device_id=device_id, probabilities=probabilities,
-                       dT_dphi1=lambda phi1, phi2: per_sample(phi1, phi2)[2][()],
+                       dT_dphi1=lambda phi1, phi2: evaluate(phi1, phi2, True)[2][()],
                        closure=lambda: closure)
 
 
@@ -146,20 +162,27 @@ def resolve_device(device: DeviceLike) -> DeviceModel:
 # --- result types ----------------------------------------------------------
 
 class GridSpec(NamedTuple):
-    """Inclusive linear grid start..stop with `count` points."""
+    """Inclusive linear grid start..stop with `count` points, 2 to
+    `MAX_GRID_POINTS`."""
 
     start: float
     stop: float
     count: int
 
-    def values(self) -> np.ndarray:
-        if self.count < 2:
-            raise ValidationError(f"grid needs at least 2 points, got {self.count}")
+    def checked(self) -> "GridSpec":
+        """self, or ValidationError if count or bounds are out of range."""
+        if not 2 <= self.count <= MAX_GRID_POINTS:
+            raise ValidationError(
+                f"grid needs 2 to {MAX_GRID_POINTS} points, got {self.count}")
         if not self.stop > self.start:
             raise ValidationError(
                 f"grid stop must exceed start, got [{self.start}, {self.stop}]"
             )
-        return np.linspace(self.start, self.stop, self.count)
+        return self
+
+    def values(self) -> np.ndarray:
+        """The grid's points; refuses a bad grid before allocating it."""
+        return np.linspace(self.start, self.stop, self.checked().count)
 
 
 @dataclass(frozen=True, eq=False)

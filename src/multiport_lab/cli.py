@@ -109,7 +109,8 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--phi2", required=True, help="fixed phi2 (expression)")
     p.add_argument("--phi1-grid", default="0:2*pi:257", metavar="START:STOP:COUNT",
-                   help="phi1 grid (default 0:2*pi:257)")
+                   help=f"phi1 grid, COUNT from 2 to {analysis.MAX_GRID_POINTS} "
+                        "(default 0:2*pi:257)")
     p.add_argument("--out", help="CSV path (default stdout)")
     p.add_argument("--svg", help="also write an SVG plot of T vs phi1")
 
@@ -117,7 +118,8 @@ def build_parser() -> _Parser:
                        help="max sensitivity vs phi2 (grover-michelson and michelson)")
     common(p, device=False)
     p.add_argument("--phi2-grid", default="1e-5:2*pi-1e-5:64", metavar="START:STOP:COUNT",
-                   help="phi2 grid in (0, 2*pi) (default 1e-5:2*pi-1e-5:64)")
+                   help=f"phi2 grid in (0, 2*pi), COUNT from 2 to {analysis.MAX_GRID_POINTS} "
+                        "(default 1e-5:2*pi-1e-5:64)")
     p.add_argument("--spacing", choices=("linear", "log-edges"), default="log-edges",
                    help="grid spacing; log-edges clusters points near 0 and 2*pi")
     p.add_argument("--out", help="CSV path (default stdout)")
@@ -151,11 +153,7 @@ def _parse_grid(spec: str, degrees: bool) -> GridSpec:
         count = int(parts[2])
     except ValueError:
         raise ValidationError(f"grid count {parts[2]!r} must be an integer") from None
-    if count < 2:
-        raise ValidationError(f"grid count must be at least 2, got {count}")
-    if not stop > start:
-        raise ValidationError(f"grid stop must exceed start in {spec!r}")
-    return GridSpec(start=start, stop=stop, count=count)
+    return GridSpec(start=start, stop=stop, count=count).checked()
 
 
 def _resolve_device(name: str, tol: float):

@@ -11,6 +11,10 @@ for as long as the arithmetic allows (so ``2*pi - pi`` is exactly ``pi`` and
 only when a nonlinear combination or a free symbol forces it.  The same text
 therefore evaluates to the same float on every run.
 
+Bindings may be numpy arrays: the symbols they bind then evaluate
+elementwise, with the same bits as one scalar binding at a time, while
+subtrees without them stay exact and broadcast.
+
 `PhaseExpr` stores the canonical rendering of the parsed tree and caches
 the tree itself; two expressions compare equal iff their canonical texts
 match.  `PhaseExpr.derivative` applies the chain rule over that tree, and
@@ -26,9 +30,14 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Union
 
+import numpy as np
+
 from .errors import ParseError, ValidationError
 
 _SYMBOLS = ("phi1", "phi2")
+
+#: a phase value: a float, or an array where an array binding enters
+Value = Union[float, np.ndarray]
 
 
 # --- AST -------------------------------------------------------------------
@@ -211,14 +220,14 @@ class _Exact:
         return float(self.a) + float(self.b) * math.pi
 
 
-def _to_float(v) -> float:
+def _to_float(v) -> Value:
     try:
         return v.to_float() if isinstance(v, _Exact) else v
     except OverflowError:  # a rational beyond the float range
         return math.inf
 
 
-def _eval(node: _Node, bindings: Mapping[str, float]):
+def _eval(node: _Node, bindings: Mapping[str, Value]):
     if isinstance(node, _Num):
         as_frac = Fraction(node.value)
         return _Exact(as_frac, Fraction(0))
@@ -227,7 +236,8 @@ def _eval(node: _Node, bindings: Mapping[str, float]):
             return _Exact(Fraction(0), Fraction(1))
         if node.name not in bindings:
             raise ValidationError(f"unbound symbol {node.name!r} in phase expression")
-        return float(bindings[node.name])
+        value = np.asarray(bindings[node.name], dtype=np.float64)
+        return value if value.ndim else float(value)
     if isinstance(node, _Neg):
         v = _eval(node.operand, bindings)
         if isinstance(v, _Exact):
@@ -253,8 +263,8 @@ def _eval(node: _Node, bindings: Mapping[str, float]):
     return _FLOAT_OPS[op](_to_float(left), _to_float(right))
 
 
-def _divide(a: float, b: float) -> float:
-    if b == 0.0:
+def _divide(a, b):
+    if np.any(np.equal(b, 0.0)):
         raise ValidationError("division by zero in phase expression")
     return a / b
 
@@ -262,7 +272,7 @@ def _divide(a: float, b: float) -> float:
 _FLOAT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide}
 
 
-def _slope(node: _Node, bindings: Mapping[str, float], name: str) -> float:
+def _slope(node: _Node, bindings: Mapping[str, Value], name: str) -> Value:
     """d(node)/d(name) at `bindings`, by the chain rule over the tree."""
     if isinstance(node, _Num):
         return 0.0
@@ -311,27 +321,31 @@ class PhaseExpr:
     def free_symbols(self) -> frozenset:
         return frozenset(s for s in _SYMBOLS if _degree(self._node, s))
 
-    def evaluate(self, bindings: Mapping[str, float] | None = None) -> float:
+    def evaluate(self, bindings: Mapping[str, Value] | None = None) -> Value:
         """Evaluate to a float; free symbols must appear in `bindings`.
 
-        Raises ValidationError for unbound symbols, division by zero, or a
-        result too large for a float.
+        Array bindings give an array, elementwise with the same bits as
+        scalar bindings; a subtree they do not enter stays a float and
+        broadcasts.  Raises ValidationError for unbound symbols, or for
+        division by zero or a result too large for a float in any element.
         """
-        return self._finite(_to_float(_eval(self._node, bindings or {})))
+        with np.errstate(over="ignore", invalid="ignore"):  # _finite rejects inf, nan
+            return self._finite(_to_float(_eval(self._node, bindings or {})))
 
     def derivative(self, symbol: str,
-                   bindings: Mapping[str, float] | None = None) -> float:
-        """Exact derivative with respect to `symbol` at `bindings`; raises
-        like `evaluate`."""
-        return self._finite(_slope(self._node, bindings or {}, symbol))
+                   bindings: Mapping[str, Value] | None = None) -> Value:
+        """Exact derivative with respect to `symbol` at `bindings`; takes
+        arrays and raises like `evaluate`."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._finite(_slope(self._node, bindings or {}, symbol))
 
     def is_affine_in(self, symbol: str) -> bool:
         """Whether the tree is affine in `symbol` (``phi1*phi1 - phi1*phi1``
         is not: products and divisors are read as written)."""
         return _degree(self._node, symbol) <= 1
 
-    def _finite(self, value: float) -> float:
-        if not math.isfinite(value):
+    def _finite(self, value: Value) -> Value:
+        if not np.all(np.isfinite(value)):
             raise ValidationError(f"phase expression {self.text!r} is not finite")
         return value
 

@@ -30,8 +30,9 @@ from multiport_lab import (
     solve_phi2_for_sensitivity,
     sweep,
 )
-from multiport_lab.analysis import MODEL_NAMES, resolve_device
+from multiport_lab.analysis import MAX_GRID_POINTS, MODEL_NAMES, resolve_device
 from multiport_lab.cli import _phi2_grid_values
+from multiport_lab.closure import CompiledClosure
 from multiport_lab.netlist import compile_netlist
 
 TWO_PI = 2.0 * math.pi
@@ -73,6 +74,42 @@ def test_netlist_sweep_matches_closed_form(name):
     want = sweep(name, 0.7, GridSpec(0.0, TWO_PI, 257))
     assert_allclose(got.T, want.T, rtol=0, atol=1e-12)
     assert_allclose(got.dT_dphi1, want.dT_dphi1, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["michelson", "bs-cavity", "grover-michelson"])
+def test_netlist_point_has_the_same_bits_alone_and_in_a_grid(name):
+    # the searches compare golden-section (scalar) values with scan values
+    model = netlist_device(builtin_netlist(name))
+    grid = np.linspace(0.0, TWO_PI, 3001)
+    stack = model.closure().stack_size
+    assert stack < grid.size  # the grid spans stack boundaries
+    probs, dT = model.probabilities(grid, 0.7), model.dT_dphi1(grid, 0.7)
+    for i in sorted({0, stack - 1, stack, 2 * stack - 1, 2 * stack, 1500, grid.size - 1}):
+        alone = model.probabilities(grid[i], 0.7)
+        assert (alone.R, alone.T, model.dT_dphi1(grid[i], 0.7)) == \
+            (probs.R[i], probs.T[i], dT[i]), i
+
+
+def test_netlist_sweep_solves_stacks_not_samples(monkeypatch):
+    solves = []
+    solve = CompiledClosure.solve
+    monkeypatch.setattr(CompiledClosure, "solve",
+                        lambda self, *args: solves.append(1) or solve(self, *args))
+    model = netlist_device(builtin_netlist("grover-michelson"))
+    per_call = []
+
+    def counted(f):
+        def evaluate(phi1, phi2):
+            before = len(solves)
+            out = f(phi1, phi2)
+            per_call.append(len(solves) - before)
+            return out
+        return evaluate
+
+    sweep(dataclasses.replace(model, probabilities=counted(model.probabilities),
+                              dT_dphi1=counted(model.dT_dphi1)), 0.7, GridSpec(0.0, TWO_PI, 257))
+    assert len(per_call) == 2
+    assert max(per_call) <= math.ceil(257 / model.closure().stack_size)
 
 
 def _random_unitary(rng, n):
@@ -135,6 +172,13 @@ def test_grid_spec_rejects_degenerate():
         GridSpec(0.0, 1.0, 1).values()
     with pytest.raises(ValidationError):
         GridSpec(1.0, 1.0, 8).values()
+
+
+def test_grid_spec_refuses_oversized_counts_before_allocating():
+    assert GridSpec(0.0, 1.0, 2 ** 19).values().size == 2 ** 19  # the dense sweeps
+    for count in (MAX_GRID_POINTS + 1, 10 ** 12):
+        with pytest.raises(ValidationError):
+            GridSpec(0.0, 1.0, count).values()
 
 
 def test_sweep_energy_conservation_and_order():

@@ -272,6 +272,20 @@ def test_overflowing_phase_is_a_validation_error(args):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ("sweep", "--device", "michelson", "--phi2", "1", "--phi1-grid", "0:1:1000000000000"),
+    ("sensitivity", "--phi2-grid", "0.1:6:1000000000000"),
+    ("sensitivity", "--phi2-grid", "0.1:3:1000000000000", "--spacing", "linear"),
+])
+def test_oversized_grid_is_a_validation_error(args, tmp_path):
+    # used to end in an _ArrayMemoryError traceback ("Unable to allocate 7.28 TiB")
+    res = run(*args, "--out", str(tmp_path / "x.csv"))
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:")
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_builtin_name_wins_over_file_in_every_command(tmp_path):
     # a file named like a built-in must not shadow it in any command
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

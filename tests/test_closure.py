@@ -5,6 +5,8 @@ The reference values here come from hand algebra on small networks (2x2 and
 engine and the formulas fail independently.
 """
 
+import cmath
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -25,6 +27,8 @@ from multiport_lab import (
     make_grover_coin,
     seal_ports,
 )
+from multiport_lab.closure import CompiledClosure
+from multiport_lab.phase_expr import PhaseExpr
 
 
 def random_unitary(n, seed):
@@ -235,3 +239,80 @@ def test_spectral_radius_bare_loop_full_reflection():
     assert rho == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(SingularClosureError):
         seal_ports(S, [Termination("p2", 0.0, has_mirror=False)])
+
+
+# --- stacked solves ------------------------------------------------------------
+
+STACK_PHASES = ("2*phi1", "phi1*phi2", "-(phi1+pi/2)/3", "pi/5", "1.25")
+
+
+def reference_solve(S, seals, links, open_labels, bindings):
+    """The per-sample closure kept as the reference: dense F from cmath, one
+    LU solve for S_eff and a second one, of (I - F S_cc) Z = dF X, for the
+    resolvent derivative."""
+    closed = sorted([S.port_index(t.port) for t in seals]
+                    + [S.port_index(p) for l in links for p in (l.port_a, l.port_b)])
+    pos = {idx: k for k, idx in enumerate(closed)}
+    o = [S.port_index(p) for p in open_labels]
+    m = S.matrix
+    S_oo, S_oc, S_co, S_cc = (m[np.ix_(a, b)] for a, b in ((o, o), (o, closed),
+                                                           (closed, o), (closed, closed)))
+    F = np.zeros((len(closed),) * 2, dtype=complex)
+    dF = np.zeros_like(F)
+    for t in seals:
+        k = pos[S.port_index(t.port)]
+        F[k, k] = (-1.0 if t.has_mirror else 1.0) * cmath.exp(
+            1j * t.round_trip_phase.evaluate(bindings))
+        dF[k, k] = 1j * t.round_trip_phase.derivative("phi1", bindings) * F[k, k]
+    for l in links:
+        a, b = pos[S.port_index(l.port_a)], pos[S.port_index(l.port_b)]
+        F[a, b] = F[b, a] = cmath.exp(0.5j * l.round_trip_phase.evaluate(bindings))
+        dF[a, b] = dF[b, a] = 0.5j * l.round_trip_phase.derivative("phi1", bindings) * F[a, b]
+    eye = np.eye(len(closed))
+    X = np.linalg.solve(eye - S_cc @ F, S_co)
+    return S_oo + S_oc @ F @ X, S_oc @ np.linalg.solve(eye - F @ S_cc, dF @ X)
+
+
+def random_closure(rng):
+    n = int(rng.integers(4, 8))
+    S = random_unitary(n, int(rng.integers(1 << 30)))
+    closed = [str(p) for p in rng.permutation(S.port_labels)[: int(rng.integers(2, n))]]
+    n_links = int(rng.integers(0, len(closed) // 2 + 1))
+    phase = lambda: PhaseExpr.parse(str(rng.choice(STACK_PHASES)))
+    links = [Link(closed[2 * k], closed[2 * k + 1], phase()) for k in range(n_links)]
+    seals = [Termination(p, phase(), bool(rng.integers(0, 2))) for p in closed[2 * n_links:]]
+    return S, seals, links
+
+
+def test_stacked_solve_matches_a_per_sample_loop_on_random_networks():
+    rng = np.random.default_rng(20261018)
+    for trial in range(10):
+        S, seals, links = random_closure(rng)
+        closure = CompiledClosure(S, seals, links)
+        # not a multiple of the stack size the grid would be chunked by
+        phi1 = rng.uniform(0.0, 2.0 * np.pi, 2 * closure.stack_size + 37)
+        bindings = {"phi1": phi1, "phi2": float(rng.uniform(0.0, 2.0 * np.pi))}
+        got, _, dgot = closure.solve(lambda p: p.evaluate(bindings),
+                                     lambda p: p.derivative("phi1", bindings))
+        # a network whose phases all miss phi1 gives one unbatched answer
+        shape = phi1.shape + (len(closure.labels),) * 2
+        got, dgot = np.broadcast_to(got, shape), np.broadcast_to(dgot, shape)
+        for i, x in enumerate(phi1):
+            want, dwant = reference_solve(S, seals, links, closure.labels,
+                                          {**bindings, "phi1": float(x)})
+            assert np.max(np.abs(got[i] - want)) <= 1e-12 * np.max(np.abs(want)), trial
+            assert np.max(np.abs(dgot[i] - dwant)) <= 1e-12 * np.max(np.abs(dwant)), trial
+
+
+def test_one_singular_sample_stops_the_stack_with_the_scalar_message():
+    # three zero-phase mirrors on the 4-port coin trap a bound state
+    closure = CompiledClosure(make_grover_coin(4), [
+        Termination("p1", PhaseExpr.parse("phi1")), Termination("p2", 0.0),
+        Termination("p3", 0.0)])
+    phi1 = np.array([0.3, 1.0, 0.0, 2.0, 2.5])
+    with pytest.raises(SingularClosureError) as alone:
+        closure.solve(lambda p: p.evaluate({"phi1": 0.0}) if isinstance(p, PhaseExpr) else p)
+    with pytest.raises(SingularClosureError) as stacked:
+        closure.solve(lambda p: p.evaluate({"phi1": phi1}) if isinstance(p, PhaseExpr) else p)
+    assert str(stacked.value) == str(alone.value)
+    assert "['p1', 'p2', 'p3']" in str(stacked.value)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from multiport_lab import ParseError, PhaseExpr, ValidationError, evaluate_phase, phase_expr
@@ -162,3 +163,48 @@ def test_overflowing_literal_rejected():
 def test_overflowing_result_rejected(src):
     with pytest.raises(ValidationError):
         PhaseExpr.parse(src).evaluate({"phi1": 1.0})
+
+
+# every tree form used above, plus a constant
+ARRAY_FORMS = ("2*phi1", "-(phi1+pi/2)/3", "phi1*phi2", "phi1/3", "phi2-pi", "phi1*phi1",
+               "1/phi1", "2*phi1-phi2", "phi1*phi2/(phi1+pi)", "-(phi1/3)*(phi1-1)",
+               "phi2/phi1", "2*phi1-phi2*phi2", "phi2*(phi1-1)/pi", "pi/(phi1+1)",
+               "phi1*phi1-phi1*phi1", "-(phi1)/2", "2*pi-1e-5")
+
+
+@pytest.mark.parametrize("src", ARRAY_FORMS)
+def test_array_bindings_match_scalar_evaluation_bit_for_bit(src):
+    rng = np.random.default_rng(7)
+    phi1 = rng.uniform(0.1, 6.0, 37)
+    expr = PhaseExpr.parse(src)
+    for phi2 in (1.3, rng.uniform(0.1, 6.0, 37)):
+        arrays = {"phi1": phi1, "phi2": phi2}
+        points = [{"phi1": float(x), "phi2": float(y)}
+                  for x, y in zip(phi1, np.broadcast_to(phi2, phi1.shape))]
+        for got, at in ((expr.evaluate(arrays), expr.evaluate),
+                        (expr.derivative("phi1", arrays), lambda b: expr.derivative("phi1", b)),
+                        (expr.derivative("phi2", arrays), lambda b: expr.derivative("phi2", b))):
+            want = np.array([at(b) for b in points])
+            assert np.broadcast_to(got, phi1.shape).tobytes() == want.tobytes(), src
+
+
+def test_constant_subtree_stays_exact_under_array_bindings():
+    got = PhaseExpr.parse("pi/8").evaluate({"phi1": np.linspace(0.0, 1.0, 5)})
+    assert got == math.pi / 8 and np.ndim(got) == 0
+
+
+@pytest.mark.parametrize("src, symbol, phi1", [
+    ("1/phi1", None, [1.0, 0.0, 2.0]),
+    ("phi2/phi1", "phi1", [1.0, 2.0, 0.0]),
+    ("phi1*1e308*10", None, [0.0, 1.0, 0.0]),
+    ("1e300*phi1*phi1", "phi1", [1.0, 1e10, 1.0]),
+    ("(phi1-1)/(phi1-1)", None, [2.0, 1.0, 3.0]),
+])
+def test_one_bad_element_rejects_the_array(src, symbol, phi1):
+    expr = PhaseExpr.parse(src)
+    bindings = {"phi1": np.array(phi1), "phi2": 0.5}
+    with pytest.raises(ValidationError):
+        if symbol is None:
+            expr.evaluate(bindings)
+        else:
+            expr.derivative(symbol, bindings)
