@@ -120,8 +120,8 @@ def netlist_device(netlist: Netlist, device_id: str = "netlist") -> DeviceModel:
         out = np.empty((3 if slope else 2, flat.size))
         for at in range(0, flat.size, stack):
             b = {"phi1": flat[at:at + stack], "phi2": float(phi2)}
-            S, _, dS = closure.solve(lambda p: p.evaluate(b),
-                                     (lambda p: p.derivative("phi1", b)) if slope else None)
+            S, dS = closure.solve(lambda p: p.evaluate(b),
+                                  (lambda p: p.derivative("phi1", b)) if slope else None)
             # |s_i0|^2 and Re(conj(s_i0) ds_i0) in real arithmetic, which
             # rounds alike in every SIMD lane
             re, im = S[..., :, 0].real, S[..., :, 0].imag

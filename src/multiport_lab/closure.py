@@ -10,7 +10,11 @@ to the amplitudes re-entering the device, the effective matrix is
     S_eff = S_oo + S_oc F (I - S_cc F)^(-1) S_co
 
 which this module evaluates by a dense LU solve, for one phase sample or a
-whole stack of them at once (`CompiledClosure.solve`).  The equivalent truncated
+whole stack of them at once (`CompiledClosure.solve`).  The same solve gives
+(I - S_cc F)^(-1), whose 1-norm condition screens each sample for
+singularity; only samples the screen catches get the SVD that decides, so a
+well-conditioned solve does no SVD.  `CompiledClosure.condition` reports the
+2-norm condition of one sample.  The equivalent truncated
 round-trip series is kept as an independent cross-check
 (`close_series_truncated`); it converges whenever the spectral radius of
 S_cc F is below one.  The root of det(I - S_cc F) places phi1's resonance
@@ -44,9 +48,11 @@ from .phase_expr import PhaseExpr
 SINGULARITY_RCOND = 1e-12
 
 #: Byte budget of one stack of (m, m) complex closed blocks; callers solving
-#: a grid take `CompiledClosure.stack_size` samples per stack.  On a netlist
-#: bias and a 30-closed-port sweep, 1 MiB measured about 3 MB more peak RSS
-#: than solving one sample at a time; 64 KiB measured under 0.5 MB more.
+#: a grid take `CompiledClosure.stack_size` samples per stack.  A solve holds
+#: a few arrays of that size at once (the blocks, their LU, A^-1 S_cc and
+#: the inverse the singularity screen reads).  On a netlist bias and a 30-closed-port sweep,
+#: 1 MiB measured about 3 MB more peak RSS than solving one sample at a
+#: time; 64 KiB measured under 0.5 MB more.
 STACK_BYTES = 64 * 1024
 
 
@@ -146,9 +152,10 @@ class CompiledClosure:
     """S split once into open and closed blocks for feedback through the
     given seals and links, to be solved at many phase values.
 
-    Phases are kept as given and mapped to radians by `value` when the
-    feedback is built, so they may be numbers or expressions.  Open ports
-    keep device order unless `open_ports` orders them.
+    Phases may be numbers or expressions.  Numbers and expressions without
+    a free symbol are evaluated here, once; the others are mapped to radians
+    by `value` each time the feedback is built.  Open ports keep device
+    order unless `open_ports` orders them.
 
     F has one entry per column, F[perm[c], c] = f[c]: a seal's on the
     diagonal, a link's two swapped across it.  So products with F permute
@@ -162,6 +169,7 @@ class CompiledClosure:
         o, c, m = open_idx, closed_idx, S.matrix
         # (S_oo, S_oc, S_co, S_cc)
         self.blocks = m[np.ix_(o, o)], m[np.ix_(o, c)], m[np.ix_(c, o)], m[np.ix_(c, c)]
+        self._rhs = np.hstack(self.blocks[2:])  # [S_co | S_cc]
         self.labels = tuple(S.port_labels[i] for i in open_idx)
         self.closed = tuple(S.port_labels[i] for i in closed_idx)
         self.perm = np.arange(len(closed_idx))
@@ -169,6 +177,13 @@ class CompiledClosure:
         for i, (k, *_) in enumerate(self.loops):
             self.perm[k], self._owner[k] = k[::-1], i
         self._sign, self._share = (np.array([loop[j] for loop in self.loops]) for j in (1, 2))
+        # loops whose phase `value` maps per solve; the others' radians, once
+        phases = [loop[3] for loop in self.loops]
+        self._varying = [i for i, p in enumerate(phases)
+                         if isinstance(p, PhaseExpr) and p.free_symbols]
+        self._phase = np.array([0.0 if i in self._varying else
+                                p.evaluate() if isinstance(p, PhaseExpr) else float(p)
+                                for i, p in enumerate(phases)])
 
     @property
     def stack_size(self) -> int:
@@ -180,18 +195,27 @@ class CompiledClosure:
         """Entries f of the feedback matrix F and, when `slope` maps a phase
         to its phi1-derivative, those of dF/dphi1 (else None).
 
-        Phases that `value` maps to arrays give f and df their broadcast
-        shape as leading batch axes: (..., m) for m closed ports.
+        `value` and `slope` see only the phases with a free symbol; the
+        others keep the value evaluated once and slope 0.  Phases that
+        `value` maps to arrays give f and df their broadcast shape as
+        leading batch axes: (..., m) for m closed ports.
         """
-        def per_loop(of):  # (..., loops)
-            return np.stack(np.broadcast_arrays(*(of(loop[3]) for loop in self.loops)), -1)
+        def per_loop(of, constant):  # (..., loops)
+            if not self._varying:
+                return constant
+            varying = np.broadcast_arrays(*(of(self.loops[i][3]) for i in self._varying))
+            out = np.empty(varying[0].shape + constant.shape)
+            out[...] = constant
+            out[..., self._varying] = np.stack(varying, -1)
+            return out
 
         # products with a purely real or imaginary factor are exact up to one
         # rounding, so a sample gets the same bits alone or stacked
-        amp = self._sign * np.exp(1j * (self._share * per_loop(value)))
+        amp = self._sign * np.exp(1j * (self._share * per_loop(value, self._phase)))
         if slope is None:
             return amp[..., self._owner], None
-        return amp[..., self._owner], (1j * (self._share * per_loop(slope)) * amp)[..., self._owner]
+        dphase = per_loop(slope, np.zeros_like(self._phase))
+        return amp[..., self._owner], (1j * (self._share * dphase) * amp)[..., self._owner]
 
     def _right(self, M, f):
         """M F for the feedback entries f."""
@@ -222,7 +246,7 @@ class CompiledClosure:
             return None
         at0 = {**bindings, "phi1": 0.0}
         a, b = phase.derivative("phi1", at0), phase.evaluate(at0)
-        f, _ = self.feedback(lambda p: p.evaluate(at0) if isinstance(p, PhaseExpr) else float(p))
+        f, _ = self.feedback(lambda p: p.evaluate(at0))
 
         def det(z):
             f[k] = sign * z
@@ -234,8 +258,30 @@ class CompiledClosure:
             return None
         return (cmath.phase(root) - b) / a, abs(math.log(abs(root)) / a), 2.0 * math.pi / abs(a)
 
+    def _block(self, f):
+        """A = I - S_cc F for the feedback entries f."""
+        return np.eye(len(self.closed)) - self._right(self.blocks[3], f)
+
+    def condition(self, value=float) -> float:
+        """2-norm condition number of I - S_cc F at one phase sample (one
+        SVD); 1.0 if nothing is closed."""
+        if not self.closed:
+            return 1.0
+        f, _ = self.feedback(value)
+        return float(1.0 / _rcond(self._block(f)))
+
+    def _gate(self, A):
+        """Raise SingularClosureError if any block of the stack A has a
+        2-norm rcond below SINGULARITY_RCOND, with the worst one."""
+        worst = float(np.min(_rcond(A)))
+        if worst < SINGULARITY_RCOND:
+            raise SingularClosureError(
+                f"singular closure: feedback through ports {list(self.closed)} is "
+                f"resonant and traps a lossless bound state (rcond={worst:.2e})"
+            )
+
     def solve(self, value=float, slope=None):
-        """(S_eff, condition of I - S_cc F, dS_eff/dphi1 or None); see `feedback`.
+        """(S_eff, dS_eff/dphi1 or None); see `feedback`.
 
         With X = (I - S_cc F)^-1 S_co, S_eff = S_oo + S_oc F X.  The resolvent
         identity d(A^-1) = -A^-1 dA A^-1 gives dS_eff = S_oc (I - F S_cc)^-1 dF X
@@ -243,34 +289,66 @@ class CompiledClosure:
 
         Array-valued phases are solved as one stack over their batch axes,
         which lead every result; scalar phases are the shape-() stack.  The
-        SVD gate raises if any sample of the stack is singular, with the
-        worst rcond.  Each sample gets the same bits alone as in any stack.
+        gate raises SingularClosureError if any sample of the stack has a
+        2-norm rcond below SINGULARITY_RCOND, with the worst rcond; it runs
+        an SVD only on samples that the 1-norm screen of `_screen` catches,
+        or on the whole stack if the LU solve meets an exactly singular
+        sample.  Each sample gets the same bits alone as in any stack.
         """
-        S_oo, S_oc, S_co, S_cc = self.blocks
+        S_oo, S_oc, S_co, _ = self.blocks
         if not self.closed:
-            return S_oo, 1.0, None if slope is None else np.zeros_like(S_oo)
+            return S_oo, None if slope is None else np.zeros_like(S_oo)
         f, df = self.feedback(value, slope)
-        A = np.eye(len(self.closed)) - self._right(S_cc, f)
-        sv = np.linalg.svd(A, compute_uv=False)
-        top = sv[..., 0]
-        rcond = sv[..., -1] / np.where(top > 0.0, top, np.inf)
-        worst = float(np.min(rcond))
-        if worst < SINGULARITY_RCOND:
-            raise SingularClosureError(
-                f"singular closure: feedback through ports {list(self.closed)} is "
-                f"resonant and traps a lossless bound state (rcond={worst:.2e})"
-            )
-        n_open, condition = S_co.shape[1], 1.0 / rcond[()]
-        B = S_co if df is None else np.hstack((S_co, S_cc))
-        # numpy < 2 reads a b of lower rank than the stack as vectors
-        XY = np.linalg.solve(A, np.broadcast_to(B, A.shape[:-1] + B.shape[-1:]))
-        FX = self._left(f, XY[..., :n_open])
+        A = self._block(f)
+        n_open = S_co.shape[1]
+        try:
+            # numpy < 2 reads a b of lower rank than the stack as vectors
+            XY = np.linalg.solve(A, np.broadcast_to(self._rhs, A.shape[:-1] + self._rhs.shape[-1:]))
+        except np.linalg.LinAlgError:  # a zero pivot: let the SVD decide
+            self._gate(A)
+            raise
+        X, Y = XY[..., :n_open], XY[..., n_open:]
+        self._screen(A, Y, f)
+        FX = self._left(f, X)
         if df is None:
-            return S_oo + S_oc @ FX, condition, None
-        V = self._left(df, XY[..., :n_open])
+            return S_oo + S_oc @ FX, None
+        V = self._left(df, X)
         # one product with S_oc for S_eff and dS_eff
-        out = S_oc @ np.concatenate((FX, V + self._left(f, XY[..., n_open:] @ V)), axis=-1)
-        return S_oo + out[..., :n_open], condition, out[..., n_open:]
+        out = S_oc @ np.concatenate((FX, V + self._left(f, Y @ V)), axis=-1)
+        return S_oo + out[..., :n_open], out[..., n_open:]
+
+    def _screen(self, A, Y, f):
+        """Gate the samples of the stack A whose 1-norm rcond, read off the
+        inverse A^-1 = I + Y F (A^-1 S_cc F = A^-1 - I), does not prove them
+        regular.
+
+        For m x m blocks ||M||_2 <= sqrt(m) ||M||_1, so rcond_2 >= rcond_1 / m:
+        a sample with rcond_1 >= 100 m SINGULARITY_RCOND has rcond_2 >= 100
+        SINGULARITY_RCOND.  The computed inverse is off by about m u kappa
+        (u the unit roundoff), under 1e-5 relative for kappa_1 <= 1e10 / m
+        at the bound, and the SVD's rcond by about m u; the factor 100 covers
+        both many times over, so the screen passes no sample that the SVD
+        would refuse.  NaN and inf from an overflowing solve are caught.
+        """
+        m = A.shape[-1]
+        inverse = np.eye(m) + self._right(Y, f)
+        rcond = 1.0 / (_norm1(A) * _norm1(inverse))
+        caught = ~(rcond >= 100.0 * m * SINGULARITY_RCOND)
+        if np.any(caught):
+            self._gate(A[caught])
+
+
+def _norm1(M):
+    """1-norm (largest column sum of moduli) of each block of the stack M."""
+    return np.abs(M).sum(axis=-2).max(axis=-1)
+
+
+def _rcond(A):
+    """2-norm reciprocal condition of each block of the stack A, from its
+    singular values."""
+    sv = np.linalg.svd(A, compute_uv=False)
+    top = sv[..., 0]
+    return sv[..., -1] / np.where(top > 0.0, top, np.inf)
 
 
 def close_network(
@@ -288,8 +366,8 @@ def close_network(
     i.e. the closed ports support a lossless bound state that traps energy.
     """
     closure = CompiledClosure(S, terminations, links)
-    effective, condition, _ = closure.solve()
-    return ClosedDevice(ScatteringMatrix(effective, closure.labels), condition)
+    effective, _ = closure.solve()
+    return ClosedDevice(ScatteringMatrix(effective, closure.labels), closure.condition())
 
 
 def seal_ports(S: ScatteringMatrix, terminations: Sequence[Termination]) -> ClosedDevice:

@@ -364,8 +364,9 @@ def close_netlist(netlist: Netlist,
     `netlist.open_ports` order.
     """
     closure = compile_netlist(netlist)
-    effective, condition, _ = closure.solve(lambda phase: phase.evaluate(bindings))
-    return ClosedDevice(ScatteringMatrix(effective, closure.labels), condition)
+    value = lambda phase: phase.evaluate(bindings)
+    effective, _ = closure.solve(value)
+    return ClosedDevice(ScatteringMatrix(effective, closure.labels), closure.condition(value))
 
 
 # --- built-in topologies ---------------------------------------------------

@@ -6,6 +6,7 @@ engine and the formulas fail independently.
 """
 
 import cmath
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,10 +26,14 @@ from multiport_lab import (
     link_close,
     make_beam_splitter_4port,
     make_grover_coin,
+    parse_netlist,
     seal_ports,
 )
-from multiport_lab.closure import CompiledClosure
+from multiport_lab.closure import SINGULARITY_RCOND, CompiledClosure
+from multiport_lab.netlist import close_netlist, combined_matrix
 from multiport_lab.phase_expr import PhaseExpr
+
+DOCS = Path(__file__).resolve().parent.parent / "docs" / "netlists"
 
 
 def random_unitary(n, seed):
@@ -246,10 +251,9 @@ def test_spectral_radius_bare_loop_full_reflection():
 STACK_PHASES = ("2*phi1", "phi1*phi2", "-(phi1+pi/2)/3", "pi/5", "1.25")
 
 
-def reference_solve(S, seals, links, open_labels, bindings):
-    """The per-sample closure kept as the reference: dense F from cmath, one
-    LU solve for S_eff and a second one, of (I - F S_cc) Z = dF X, for the
-    resolvent derivative."""
+def dense_closure(S, seals, links, open_labels, bindings):
+    """The blocks (S_oo, S_oc, S_co, S_cc) and the dense F and dF/dphi1 of
+    a closure at one sample, F from cmath."""
     closed = sorted([S.port_index(t.port) for t in seals]
                     + [S.port_index(p) for l in links for p in (l.port_a, l.port_b)])
     pos = {idx: k for k, idx in enumerate(closed)}
@@ -268,17 +272,25 @@ def reference_solve(S, seals, links, open_labels, bindings):
         a, b = pos[S.port_index(l.port_a)], pos[S.port_index(l.port_b)]
         F[a, b] = F[b, a] = cmath.exp(0.5j * l.round_trip_phase.evaluate(bindings))
         dF[a, b] = dF[b, a] = 0.5j * l.round_trip_phase.derivative("phi1", bindings) * F[a, b]
-    eye = np.eye(len(closed))
+    return (S_oo, S_oc, S_co, S_cc), F, dF
+
+
+def reference_solve(S, seals, links, open_labels, bindings):
+    """The per-sample closure kept as the reference: dense F from cmath, one
+    LU solve for S_eff and a second one, of (I - F S_cc) Z = dF X, for the
+    resolvent derivative."""
+    (S_oo, S_oc, S_co, S_cc), F, dF = dense_closure(S, seals, links, open_labels, bindings)
+    eye = np.eye(len(F))
     X = np.linalg.solve(eye - S_cc @ F, S_co)
     return S_oo + S_oc @ F @ X, S_oc @ np.linalg.solve(eye - F @ S_cc, dF @ X)
 
 
-def random_closure(rng):
+def random_closure(rng, phases=STACK_PHASES):
     n = int(rng.integers(4, 8))
     S = random_unitary(n, int(rng.integers(1 << 30)))
     closed = [str(p) for p in rng.permutation(S.port_labels)[: int(rng.integers(2, n))]]
     n_links = int(rng.integers(0, len(closed) // 2 + 1))
-    phase = lambda: PhaseExpr.parse(str(rng.choice(STACK_PHASES)))
+    phase = lambda: PhaseExpr.parse(str(rng.choice(phases)))
     links = [Link(closed[2 * k], closed[2 * k + 1], phase()) for k in range(n_links)]
     seals = [Termination(p, phase(), bool(rng.integers(0, 2))) for p in closed[2 * n_links:]]
     return S, seals, links
@@ -292,8 +304,8 @@ def test_stacked_solve_matches_a_per_sample_loop_on_random_networks():
         # not a multiple of the stack size the grid would be chunked by
         phi1 = rng.uniform(0.0, 2.0 * np.pi, 2 * closure.stack_size + 37)
         bindings = {"phi1": phi1, "phi2": float(rng.uniform(0.0, 2.0 * np.pi))}
-        got, _, dgot = closure.solve(lambda p: p.evaluate(bindings),
-                                     lambda p: p.derivative("phi1", bindings))
+        got, dgot = closure.solve(lambda p: p.evaluate(bindings),
+                                  lambda p: p.derivative("phi1", bindings))
         # a network whose phases all miss phi1 gives one unbatched answer
         shape = phi1.shape + (len(closure.labels),) * 2
         got, dgot = np.broadcast_to(got, shape), np.broadcast_to(dgot, shape)
@@ -302,6 +314,25 @@ def test_stacked_solve_matches_a_per_sample_loop_on_random_networks():
                                           {**bindings, "phi1": float(x)})
             assert np.max(np.abs(got[i] - want)) <= 1e-12 * np.max(np.abs(want)), trial
             assert np.max(np.abs(dgot[i] - dwant)) <= 1e-12 * np.max(np.abs(dwant)), trial
+
+
+def test_constant_phases_are_evaluated_once():
+    S = random_unitary(6, 4)
+    seals = [Termination("p1", PhaseExpr.parse("phi1")), Termination("p2", PhaseExpr.parse("pi/5")),
+             Termination("p3", 1.25)]
+    closure = CompiledClosure(S, seals, [Link("p4", "p5", PhaseExpr.parse("-(1+pi)/3"))])
+    seen = []
+
+    def value(p):
+        seen.append(p)
+        return p.evaluate({"phi1": 0.3})
+
+    closure.solve(value, lambda p: seen.append(p) or p.derivative("phi1", {"phi1": 0.3}))
+    assert seen == [seals[0].round_trip_phase] * 2
+    # the constants keep the bits a per-solve evaluation gave them
+    f, df = closure.feedback(value, lambda p: 1.0)
+    assert f[2] == -np.exp(1j * 1.25) and f[3] == np.exp(0.5j * PhaseExpr.parse("-(1+pi)/3").evaluate())
+    assert df[0] == 1j * f[0] and not np.any(df[1:])
 
 
 def test_one_singular_sample_stops_the_stack_with_the_scalar_message():
@@ -316,3 +347,124 @@ def test_one_singular_sample_stops_the_stack_with_the_scalar_message():
         closure.solve(lambda p: p.evaluate({"phi1": phi1}) if isinstance(p, PhaseExpr) else p)
     assert str(stacked.value) == str(alone.value)
     assert "['p1', 'p2', 'p3']" in str(stacked.value)
+
+
+# --- singularity gate ----------------------------------------------------------
+
+REFERENCE_SVD = np.linalg.svd
+
+
+def reference_gate(closure, value):
+    """The SVD gate kept as the reference: I - S_cc F for every sample of the
+    stack, from the closure's feedback entries (F[perm[c], c] = f[c]), and
+    the 2-norm rcond of each."""
+    f, _ = closure.feedback(value)
+    A = np.eye(len(closure.closed)) - closure.blocks[3][:, closure.perm] * f[..., None, :]
+    sv = REFERENCE_SVD(A, compute_uv=False)
+    return A, sv[..., -1] / np.where(sv[..., 0] > 0.0, sv[..., 0], np.inf)
+
+
+def gate_message(closure, rcond):
+    """The message the reference gate raises with for these rconds, or None."""
+    worst = float(np.min(rcond))
+    if worst >= SINGULARITY_RCOND:
+        return None
+    return (f"singular closure: feedback through ports {list(closure.closed)} is "
+            f"resonant and traps a lossless bound state (rcond={worst:.2e})")
+
+
+def raised_message(closure, phi1):
+    try:
+        closure.solve(lambda p: p.evaluate({"phi1": phi1}))
+    except SingularClosureError as err:
+        return str(err)
+    return None
+
+
+def trapping_closure(rng, exact):
+    """A random closure beside a block whose ports are all closed, one of
+    them by a mirror of phase phi1: its bound state is trapped at one phi1
+    per period.  Returns the closure and that phi1.
+
+    Every phase but phi1's is constant, so det(I - S_cc F) is affine in
+    z = exp(i phi1); with d(1) and d(-1) the root is z* = -(d(1) + d(-1)) /
+    (d(1) - d(-1)), on the unit circle since the closed block is unitary.
+    """
+    outer = random_unitary(int(rng.integers(3, 6)), int(rng.integers(1 << 30)))
+    k = 2 if exact else int(rng.integers(2, 5))
+    swap = ScatteringMatrix(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+    inner = swap if exact else random_unitary(k, int(rng.integers(1 << 30)))
+    S = block_diag(outer, inner)
+    constant = lambda: PhaseExpr.parse(0) if exact else PhaseExpr.parse(float(rng.uniform(0.0, 7.0)))
+    closed = [f"A.{p}" for p in rng.permutation(outer.port_labels)[: int(rng.integers(0, outer.n_ports))]]
+    inner_ports = [f"B.{p}" for p in rng.permutation(inner.port_labels)]
+    n_outer = int(rng.integers(0, len(closed) // 2 + 1))
+    n_inner = 0 if exact else int(rng.integers(0, (k - 1) // 2 + 1))
+    links = [Link(closed[2 * i], closed[2 * i + 1], constant()) for i in range(n_outer)]
+    links += [Link(inner_ports[1 + 2 * i], inner_ports[2 + 2 * i], constant()) for i in range(n_inner)]
+    seals = [Termination(p, constant(), bool(rng.integers(0, 2))) for p in closed[2 * n_outer:]]
+    seals += [Termination(p, constant()) for p in inner_ports[1 + 2 * n_inner:]]
+    seals.append(Termination(inner_ports[0], PhaseExpr.parse("phi1")))
+    closure = CompiledClosure(S, seals, links)
+    d1, dm1 = (np.linalg.det(reference_gate(closure, lambda p: p.evaluate({"phi1": x}))[0])
+               for x in (0.0, np.pi))
+    return closure, float(np.angle(-(d1 + dm1) / (d1 - dm1)))
+
+
+def test_screened_gate_decides_like_the_svd_gate(monkeypatch):
+    # the phi1 seal's phase sweeps across an eigenphase of S_cc F, so the
+    # rcond spans about 1e-17 to 1e-5, and the mirror-sealed swaps (their
+    # block of I - S_cc F is exactly [[1, 1], [1, 1]] at phi1 = 0) give
+    # exactly singular samples
+    verified = []
+
+    def svd(a, *args, **kwargs):
+        verified.append(a.shape)
+        return REFERENCE_SVD(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    rng = np.random.default_rng(20261019)
+    rconds, exactly_singular = [], 0
+    for trial in range(12):
+        closure, pole = trapping_closure(rng, exact=trial % 3 == 0)
+        offsets = 10.0 ** -np.arange(5.0, 17.01, 0.25)
+        ulps = pole + np.arange(-2, 3) * np.spacing(pole)
+        phi1 = np.sort(np.concatenate((pole - offsets, ulps, pole + offsets)))
+        A, rcond = reference_gate(closure, lambda p: p.evaluate({"phi1": phi1}))
+        rconds.append(rcond)
+        rcond1 = 1.0 / np.linalg.cond(A, 1)  # no SVD: inf for a singular block
+        exactly_singular += int(np.sum(rcond1 == 0.0))
+        bound = 100.0 * len(closure.closed) * SINGULARITY_RCOND
+        for i, x in enumerate(phi1):
+            verified.clear()
+            assert raised_message(closure, float(x)) == gate_message(closure, rcond[i]), (trial, i)
+            # the SVD runs on just the samples whose 1-norm rcond misses the bound
+            if abs(rcond1[i] / bound - 1.0) > 1e-3:
+                assert bool(verified) == (rcond1[i] < bound), (trial, i, rcond1[i])
+        for lo in range(len(phi1) - 2):
+            assert raised_message(closure, phi1[lo:lo + 3]) == \
+                gate_message(closure, rcond[lo:lo + 3]), (trial, lo)
+        assert raised_message(closure, phi1) == gate_message(closure, rcond)
+    rconds = np.concatenate(rconds)
+    assert exactly_singular > 0
+    assert np.min(rconds) < 1e-16 and np.max(rconds) > 1e-6
+    assert np.sum(rconds < SINGULARITY_RCOND) > 0 and np.sum(rconds >= SINGULARITY_RCOND) > 0
+
+
+def test_reported_condition_is_the_two_norm_one():
+    rng = np.random.default_rng(20261020)
+    for trial in range(10):
+        S, seals, links = random_closure(rng, ("pi/5", "1.25", "-2.5", "0.4+pi"))
+        dev = close_network(S, seals, links)
+        blocks, F, _ = dense_closure(S, seals, links, dev.open_port_labels, {})
+        want = np.linalg.cond(np.eye(len(F)) - blocks[3] @ F)
+        assert dev.closure_condition == pytest.approx(want, rel=1e-12), trial
+    for name in ("michelson", "bs-cavity", "grover-michelson", "fusion"):
+        net = parse_netlist((DOCS / f"{name}.json").read_text())
+        bindings = {"phi1": float(rng.uniform(0.0, 2.0 * np.pi)), "phi2": 0.7}
+        dev = close_netlist(net, bindings)
+        seals = [Termination(f"{s.device}.{s.port}", s.phase, s.mirror) for s in net.seals]
+        blocks, F, _ = dense_closure(combined_matrix(net), seals, net.links,
+                                     net.open_ports, bindings)
+        want = np.linalg.cond(np.eye(len(F)) - blocks[3] @ F)
+        assert dev.closure_condition == pytest.approx(want, rel=1e-12), name
