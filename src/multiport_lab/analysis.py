@@ -66,16 +66,17 @@ MAX_GRID_POINTS = 2 ** 22
 @dataclass(frozen=True)
 class DeviceModel:
     """Evaluatable device: vectorized (phi1, phi2) -> (R, T), plus the exact
-    derivative dT/dphi1 with the same signature.
-
-    closure, when set, returns the device's `CompiledClosure`; the searches
-    read the resonances of phi1 off its pole.
+    derivative dT/dphi1 with the same signature.  closure, when set, returns
+    the device's `CompiledClosure`, off whose pole the searches read phi1's
+    resonances; curve, when set, gives R, T and dT/dphi1 stacked on a
+    leading axis from one evaluation.
     """
 
     device_id: str
     probabilities: Callable[..., Probabilities]
     dT_dphi1: Callable[..., np.ndarray]
     closure: Optional[Callable[[], CompiledClosure]] = None
+    curve: Optional[Callable[..., np.ndarray]] = None
 
 
 @functools.cache
@@ -104,24 +105,27 @@ def netlist_device(netlist: Netlist, device_id: str = "netlist") -> DeviceModel:
     Input enters the first open port; R is the probability of exiting back out
     of it and T the total probability over the remaining open ports.  phi1 and
     phi2 are bound to any matching free symbols in the netlist's phases.  The
-    netlist is compiled once, and a phi1 grid is solved as stacked closures,
-    `CompiledClosure.stack_size` samples at a time so that each stack of
-    closed blocks stays within `closure.STACK_BYTES` (64 KiB).  The solves
-    give the exact dT/dphi1 = 2 Re sum_{i>=1} conj(s_i0) ds_i0, and a point
-    gets the same bits alone as inside a grid.
+    netlist is compiled once and reduced once per phi2
+    (`CompiledClosure.reduction`).  A phi1 grid then closes just the loops
+    that carry phi1, `CompiledClosure.stack_size` samples at a time so that
+    the closed blocks the singularity screen forms stay within
+    `closure.STACK_BYTES` (64 KiB) per stack.  One pass gives R, T and the
+    exact dT/dphi1 = 2 Re sum_{i>=1} conj(s_i0) ds_i0, and a point gets the
+    same bits alone as inside a grid.
     """
     closure = compile_netlist(netlist)
     stack = closure.stack_size
 
-    def evaluate(phi1, phi2, slope: bool) -> np.ndarray:
+    def evaluate(phi1, phi2, slope: bool = True) -> np.ndarray:
         """R, T and (if slope) dT/dphi1 stacked on a leading axis."""
         grid = np.asarray(phi1, dtype=np.float64)
         flat = grid.reshape(-1)
         out = np.empty((3 if slope else 2, flat.size))
+        reduced = closure.reduction({"phi2": float(phi2)})
         for at in range(0, flat.size, stack):
             b = {"phi1": flat[at:at + stack], "phi2": float(phi2)}
             S, dS = closure.solve(lambda p: p.evaluate(b),
-                                  (lambda p: p.derivative("phi1", b)) if slope else None)
+                                  (lambda p: p.derivative("phi1", b)) if slope else None, reduced)
             # |s_i0|^2 and Re(conj(s_i0) ds_i0) in real arithmetic, which
             # rounds alike in every SIMD lane
             re, im = S[..., :, 0].real, S[..., :, 0].imag
@@ -139,8 +143,8 @@ def netlist_device(netlist: Netlist, device_id: str = "netlist") -> DeviceModel:
         return Probabilities(R=R[()], T=T[()])
 
     return DeviceModel(device_id=device_id, probabilities=probabilities,
-                       dT_dphi1=lambda phi1, phi2: evaluate(phi1, phi2, True)[2][()],
-                       closure=lambda: closure)
+                       dT_dphi1=lambda phi1, phi2: evaluate(phi1, phi2)[2][()],
+                       closure=lambda: closure, curve=evaluate)
 
 
 def resolve_device(device: DeviceLike) -> DeviceModel:
@@ -256,16 +260,19 @@ def sweep(device: DeviceLike, phi2: float, grid: GridSpec) -> SweepCurve:
     """Evaluate R, T, dT/dphi1 over a phi1 grid at fixed phi2."""
     model = resolve_device(device)
     phi1 = grid.values()
-    # slope first: on 2^19-point grids this order measured about 15 MB less
-    # peak RSS than the reverse
-    dT = model.dT_dphi1(phi1, phi2)
-    probs = model.probabilities(phi1, phi2)
+    if model.curve is not None:
+        R, T, dT = model.curve(phi1, phi2)
+    else:
+        # slope first: on 2^19-point grids this order measured about 15 MB
+        # less peak RSS than the reverse
+        dT = model.dT_dphi1(phi1, phi2)
+        R, T = model.probabilities(phi1, phi2)
     return SweepCurve(
         device_id=model.device_id,
         phi2=float(phi2),
         phi1=phi1,
-        R=np.broadcast_to(probs.R, phi1.shape).copy(),
-        T=np.broadcast_to(probs.T, phi1.shape).copy(),
+        R=np.broadcast_to(R, phi1.shape).copy(),
+        T=np.broadcast_to(T, phi1.shape).copy(),
         dT_dphi1=dT,
     )
 

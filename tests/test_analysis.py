@@ -98,20 +98,9 @@ def test_netlist_sweep_solves_stacks_not_samples(monkeypatch):
     monkeypatch.setattr(CompiledClosure, "solve",
                         lambda self, *args: solves.append(1) or solve(self, *args))
     model = netlist_device(builtin_netlist("grover-michelson"))
-    per_call = []
-
-    def counted(f):
-        def evaluate(phi1, phi2):
-            before = len(solves)
-            out = f(phi1, phi2)
-            per_call.append(len(solves) - before)
-            return out
-        return evaluate
-
-    sweep(dataclasses.replace(model, probabilities=counted(model.probabilities),
-                              dT_dphi1=counted(model.dT_dphi1)), 0.7, GridSpec(0.0, TWO_PI, 257))
-    assert len(per_call) == 2
-    assert max(per_call) <= math.ceil(257 / model.closure().stack_size)
+    sweep(model, 0.7, GridSpec(0.0, TWO_PI, 257))
+    # R, T and dT/dphi1 come from one pass over the grid
+    assert len(solves) == math.ceil(257 / model.closure().stack_size)
 
 
 def _random_unitary(rng, n):
@@ -147,6 +136,24 @@ def test_healthy_netlist_sweeps_run_no_svd(monkeypatch):
         curve = sweep(netlist_device(net), 0.7, GridSpec(0.0, TWO_PI, 257))
         assert np.all(np.isfinite(curve.dT_dphi1))
     assert calls == []
+
+
+def test_one_factorization_of_the_constant_loops_per_phi2(monkeypatch):
+    # every phi1 sample reuses the reduction at its phi2 (one inverse of the
+    # m x m constant block) and solves only the 1 x 1 block of its phi1 seal
+    inverted, solved = [], set()
+    inv, solve = np.linalg.inv, np.linalg.solve
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a.shape) or inv(a))
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solved.add(a.shape[-2:]) or solve(a, b))
+    chain = netlist_device(_chain_netlist(np.random.default_rng(8), 8))
+    for phi2 in (0.7, 2.0):
+        sweep(chain, phi2, GridSpec(0.0, TWO_PI, 257))
+    assert inverted == [(30, 30)] * 2 and solved == {(1, 1)}
+    inverted.clear()
+    docs = parse_netlist((DOCS / "grover-michelson.json").read_text())
+    for phi2 in (math.pi, 0.1):
+        max_sensitivity(docs, phi2)
+    assert inverted == [(2, 2)] * 2 and solved == {(1, 1)}
 
 
 PHI1_PHASES = ("2*phi1", "-(phi1+pi/2)/3", "phi1*phi2", "phi1/3", "phi1")

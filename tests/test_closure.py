@@ -468,3 +468,83 @@ def test_reported_condition_is_the_two_norm_one():
                                      net.open_ports, bindings)
         want = np.linalg.cond(np.eye(len(F)) - blocks[3] @ F)
         assert dev.closure_condition == pytest.approx(want, rel=1e-12), name
+
+
+# --- reduction onto the phi1 loops --------------------------------------------
+
+CARRIER_PHASES = ("2*phi1", "phi1*phi2", "-(phi1+pi/2)/3", "phi1+phi2")
+CONSTANT_PHASES = ("pi/5", "1.25", "phi2/3", "0.4-phi2")
+# which loops carry phi1 (of two links, then the seals) and the r they leave
+CARRIERS = {"one seal": ([2], 1), "a link": ([0], 2), "two seals": ([2, 3], 2),
+            "every loop": (None, None)}
+
+
+def carrier_network(rng, carriers):
+    """A random unitary with two open ports, two links and two to four
+    seals; the loops at `carriers` (all if None) carry phi1."""
+    n = int(rng.integers(8, 11))
+    S = random_unitary(n, int(rng.integers(1 << 30)))
+    ports = [str(p) for p in rng.permutation(S.port_labels)]
+    closed = ports[2:]
+    loops = 2 + len(closed) - 4
+    phases = [PhaseExpr.parse(str(rng.choice(
+        CARRIER_PHASES if carriers is None or i in carriers else CONSTANT_PHASES)))
+        for i in range(loops)]
+    links = [Link(closed[0], closed[1], phases[0]), Link(closed[2], closed[3], phases[1])]
+    seals = [Termination(p, phase, bool(rng.integers(0, 2)))
+             for p, phase in zip(closed[4:], phases[2:])]
+    return S, seals, links, ports[:2]
+
+
+def probabilities_and_slope(S, dS):
+    """R, T and dT/dphi1 for input at the first open port."""
+    s, ds = S[..., :, 0], dS[..., :, 0]
+    return (np.abs(s[..., 0]) ** 2, np.sum(np.abs(s[..., 1:]) ** 2, axis=-1),
+            2.0 * np.sum((s[..., 1:].conj() * ds[..., 1:]).real, axis=-1))
+
+
+@pytest.mark.parametrize("case", sorted(CARRIERS))
+def test_reduced_closure_matches_the_reference_solve(case):
+    carriers, r = CARRIERS[case]
+    rng = np.random.default_rng(20261021)
+    for trial in range(6):
+        S, seals, links, open_ports = carrier_network(rng, carriers)
+        closure = CompiledClosure(S, seals, links, open_ports)
+        phi2 = float(rng.uniform(0.0, 2.0 * np.pi))
+        reduced = closure.reduction({"phi2": phi2})
+        assert reduced.blocks[3].shape == ((r, r) if r else (len(closure.closed),) * 2)
+        b = {"phi1": rng.uniform(0.0, 2.0 * np.pi, 41), "phi2": phi2}
+        got = probabilities_and_slope(*closure.solve(lambda p: p.evaluate(b),
+                                                     lambda p: p.derivative("phi1", b), reduced))
+        want = np.transpose([probabilities_and_slope(*reference_solve(
+            S, seals, links, open_ports, {**b, "phi1": float(x)})) for x in b["phi1"]])
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), (case, trial)
+
+
+def test_constant_loops_that_trap_a_bound_state_raise_the_full_message():
+    # the constant loops alone hold a bound state: a mirror-sealed swap at
+    # phase 0 (block [[1, 1], [1, 1]]), or a 2-port unitary sealed by bare
+    # loops at the phase that puts an eigenvalue of its round trip at 1
+    rng = np.random.default_rng(20261022)
+    for trial in range(6):
+        outer = random_unitary(int(rng.integers(3, 6)), int(rng.integers(1 << 30)))
+        if trial % 2:
+            inner = random_unitary(2, int(rng.integers(1 << 30)))
+            u = inner.matrix
+            alpha = float(np.angle(-(1.0 - u[0, 0]) / (np.linalg.det(u) - u[1, 1])))
+            trap = [Termination("B.p1", 0.0, False), Termination("B.p2", alpha, False)]
+        else:
+            inner = ScatteringMatrix(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+            trap = [Termination("B.p1", 0.0), Termination("B.p2", 0.0)]
+        seals = [Termination("A.p1", PhaseExpr.parse("phi1")),
+                 Termination("A.p2", float(rng.uniform(0.0, 7.0)))] + trap
+        closure = CompiledClosure(block_diag(outer, inner), seals)
+        # the constant block is singular or fails the screen, so every loop
+        # stays open to the samples
+        assert closure.reduction({}).blocks[3].shape == (4, 4), trial
+        phi1 = rng.uniform(0.0, 2.0 * np.pi, 7)
+        _, rcond = reference_gate(closure, lambda p: p.evaluate({"phi1": phi1}))
+        assert np.all(rcond < SINGULARITY_RCOND), trial
+        assert raised_message(closure, phi1) == gate_message(closure, rcond), trial
+        assert raised_message(closure, phi1[3]) == gate_message(closure, rcond[3:4]), trial
