@@ -107,14 +107,12 @@ def netlist_device(netlist: Netlist, device_id: str = "netlist") -> DeviceModel:
     phi2 are bound to any matching free symbols in the netlist's phases.  The
     netlist is compiled once and reduced once per phi2
     (`CompiledClosure.reduction`).  A phi1 grid then closes just the loops
-    that carry phi1, `CompiledClosure.stack_size` samples at a time so that
-    the closed blocks the singularity screen forms stay within
-    `closure.STACK_BYTES` (64 KiB) per stack.  One pass gives R, T and the
-    exact dT/dphi1 = 2 Re sum_{i>=1} conj(s_i0) ds_i0, and a point gets the
-    same bits alone as inside a grid.
+    that carry phi1, `Reduction.stack_size` samples at a time so that each
+    stack's r-sized arrays stay within `closure.STACK_BYTES` (64 KiB).  One
+    pass gives R, T and the exact dT/dphi1 = 2 Re sum_{i>=1} conj(s_i0)
+    ds_i0, and a point gets the same bits alone as inside a grid.
     """
     closure = compile_netlist(netlist)
-    stack = closure.stack_size
 
     def evaluate(phi1, phi2, slope: bool = True) -> np.ndarray:
         """R, T and (if slope) dT/dphi1 stacked on a leading axis."""
@@ -122,6 +120,7 @@ def netlist_device(netlist: Netlist, device_id: str = "netlist") -> DeviceModel:
         flat = grid.reshape(-1)
         out = np.empty((3 if slope else 2, flat.size))
         reduced = closure.reduction({"phi2": float(phi2)})
+        stack = reduced.stack_size
         for at in range(0, flat.size, stack):
             b = {"phi1": flat[at:at + stack], "phi2": float(phi2)}
             S, dS = closure.solve(lambda p: p.evaluate(b),

@@ -10,19 +10,15 @@ to the amplitudes re-entering the device, the effective matrix is
     S_eff = S_oo + S_oc F (I - S_cc F)^(-1) S_co
 
 Only phi1 is swept, so at fixed values of the other symbols every loop whose
-phase misses phi1 is constant.  A `Reduction` closes those loops first, by
-one LU solve (closing loops in sequence equals closing them together: the
-Redheffer star product, or Schur reduction), and leaves a device M on the open
-ports and the r ports of the loops that carry phi1.  Each phi1 sample, alone
-or in a stack, then closes just those: an r x r solve.  The Woodbury identity
-(the Schur block inverse) gives (I - S_cc F)^(-1) from that solve at O(m^2)
-per sample, so each sample's exact 1-norm condition screens it for
-singularity, and only samples the screen catches get the SVD that decides.
-`CompiledClosure.condition` reports the 2-norm condition of one sample, and
-the reduced M_kk places phi1's resonance (`CompiledClosure.phi1_pole`).  The
-truncated round-trip series is kept as an independent cross-check
-(`close_series_truncated`); it converges whenever the spectral radius of
-S_cc F is below one.
+phase misses phi1 is constant.  A `Reduction` closes those loops once, by one
+LU solve (closing loops in sequence equals closing them together: the
+Redheffer star product), and each phi1 sample, alone or in a stack, then
+closes only the r ports of the loops that carry phi1: an r x r solve.  Its
+1-norm condition, bounded in O(r^2) through the Woodbury identity, screens
+each sample for singularity, and only the samples it catches get the SVD
+that decides.  The truncated round-trip series is kept as an independent
+cross-check (`close_series_truncated`); it converges whenever the spectral
+radius of S_cc F is below one.
 
 Feedback conventions:
   * mirror seal      -> diagonal entry -exp(i*phi)   (mirror contributes the
@@ -51,9 +47,9 @@ from .phase_expr import PhaseExpr
 #: lossless resonance and closure refuses to solve.
 SINGULARITY_RCOND = 1e-12
 
-#: Byte budget of one stack of (m, m) complex closed blocks (`stack_size`).
-#: On a netlist bias and a 30-closed-port sweep, 1 MiB measured about 3 MB
-#: more peak RSS than one sample at a time; 64 KiB measured under 0.5 MB.
+#: Byte budget of a stacked solve's per-sample arrays, (r + n_open)^2 complex
+#: entries for r carrier and n_open open ports (`Reduction.stack_size`); 1 MiB
+#: measured 3 MB more peak RSS than one sample at a time, 64 KiB under 0.5 MB.
 STACK_BYTES = 64 * 1024
 
 
@@ -186,12 +182,6 @@ class CompiledClosure:
                                 for i, p in enumerate(phases)])
         self._reduced = None  # (bindings, Reduction) of the last `reduction`
 
-    @property
-    def stack_size(self) -> int:
-        """Samples per stacked solve: their closed blocks fit `STACK_BYTES`
-        (at least one)."""
-        return max(1, STACK_BYTES // (16 * max(1, len(self.closed)) ** 2))
-
     def feedback(self, value=float, slope=None, ports=None):
         """Entries f of the feedback matrix F and, when `slope` maps a phase
         to its phi1-derivative, those of dF/dphi1 (else None), for the
@@ -262,15 +252,6 @@ class CompiledClosure:
         f, _ = self.feedback(value)
         return float(1.0 / _rcond(self._block(f)))
 
-    def _gate(self, worst: float):
-        """Raise SingularClosureError if the worst 2-norm rcond of a stack is
-        below SINGULARITY_RCOND."""
-        if worst < SINGULARITY_RCOND:
-            raise SingularClosureError(
-                f"singular closure: feedback through ports {list(self.closed)} is "
-                f"resonant and traps a lossless bound state (rcond={worst:.2e})"
-            )
-
     def solve(self, value=float, slope=None, reduced: Optional["Reduction"] = None):
         """(S_eff, dS_eff/dphi1 or None) for the phases that `value` and
         `slope` map as in `feedback`, closing only the loops that carry phi1
@@ -291,7 +272,7 @@ class CompiledClosure:
             return M_oo, None if slope is None else np.zeros_like(M_oo)
         f, df = self.feedback(value, slope, red.K)
         p, n_open = red.perm, M_ko.shape[1]
-        D = np.eye(len(p)) - red.gathered * f[..., None, :]
+        D = np.eye(len(p)) - _mul(red.gathered, f[..., None, :])
         try:
             # numpy < 2 reads a b of lower rank than the stack as vectors
             XY = np.linalg.solve(D, np.broadcast_to(red.rhs, D.shape[:-1] + red.rhs.shape[-1:]))
@@ -309,10 +290,8 @@ class CompiledClosure:
         return M_oo + out[..., :n_open], out[..., n_open:]
 
     def _screen(self, red, Y, f):
-        """Gate the samples whose 1-norm rcond of the full block A = I - S_cc F
-        does not prove them regular.  A = B - S_ck F E_k^T, so A^-1 = B^-1 +
-        B^-1 S_ck F D^-1 (B^-1)_k. (Woodbury), with D^-1 = I + Y F: O(m^2) per
-        sample, and D^-1 itself when every loop is open to the samples.
+        """Gate the samples whose 1-norm rcond of the full block A = I - S_cc F,
+        bounded below by `Reduction.norms`, does not prove them regular.
 
         For m x m blocks ||M||_2 <= sqrt(m) ||M||_1, so rcond_2 >= rcond_1 / m:
         a sample with rcond_1 >= 100 m SINGULARITY_RCOND has rcond_2 >= 100
@@ -322,21 +301,22 @@ class CompiledClosure:
         both many times over, so the screen passes no sample that the SVD
         would refuse.  NaN and inf from an overflowing solve are caught.
         """
-        p = red.perm
-        inverse = np.eye(len(p)) + Y[..., :, p] * f[..., None, :]
-        if len(p) < len(self.closed):  # some loop closed in the reduction
-            inverse = red.G @ _left(f, inverse, p) @ red.HI
-            inverse += red.Binv
-        norm = np.maximum(red.norm0, _norm1(red.eye - red.cols * f[..., None, :]))
-        caught = ~(1.0 / (norm * _norm1(inverse)) >= 100.0 * len(self.closed) * SINGULARITY_RCOND)
+        norm, inverse = red.norms(Y, f)
+        caught = ~(1.0 / (norm * inverse) >= 100.0 * len(self.closed) * SINGULARITY_RCOND)
         if np.any(caught):
             self._gate_full(red, f[caught])
 
     def _gate_full(self, red, f):
-        """`_gate` on the full blocks at the carrier entries f of `red`."""
+        """Raise SingularClosureError if the worst 2-norm rcond of the full
+        blocks at the carrier entries f of `red` is below SINGULARITY_RCOND."""
         full = np.tile(red.f0, f.shape[:-1] + (1,))
         full[..., red.K] = f
-        self._gate(float(np.min(_rcond(self._block(full)))))
+        worst = float(np.min(_rcond(self._block(full))))
+        if worst < SINGULARITY_RCOND:
+            raise SingularClosureError(
+                f"singular closure: feedback through ports {list(self.closed)} is "
+                f"resonant and traps a lossless bound state (rcond={worst:.2e})"
+            )
 
 
 class Reduction:
@@ -345,9 +325,9 @@ class Reduction:
     phi1 cut (F0: F without their entries), one LU inverse of B = I - S_cc F0
     gives the device left on the open ports and k, `blocks` = (M_oo, M_ok,
     M_ko, M_kk): M = S + S_.c F0 B^-1 S_c. on rows and columns o and k.  If
-    B fails the screen's bound (`CompiledClosure._screen`), or a phase without
-    phi1 maps to an array, every loop stays open to the samples: F0 = 0 and
-    M = S.  It holds arrays only, for `CompiledClosure.solve`.
+    B misses the screen's rcond bound (`CompiledClosure._screen`), or a phase
+    without phi1 maps to an array, every loop stays open to the samples: F0 =
+    0 and M = S.  It holds what `CompiledClosure.solve` and its screen read.
     """
 
     def __init__(self, closure: CompiledClosure, value=float):
@@ -370,29 +350,50 @@ class Reduction:
             if not m or 1.0 / (_norm1(B) * _norm1(Binv)) >= 100.0 * m * SINGULARITY_RCOND:
                 break
         XY = Binv @ np.hstack((S_co, S_cc[:, K]))  # B^-1 [S_co | S_ck]
-        F0XY = _left(f0, XY, c.perm)
+        F0XY = f0[c.perm, None] * XY[c.perm]
         self.blocks = (S_oo + S_oc @ F0XY[:, :n], S_oc[:, K] + S_oc @ F0XY[:, n:],
                        XY[K, :n], XY[K, n:])
         self.rhs = XY[K]  # [M_ko | M_kk]
-        place = np.zeros(m, dtype=int)
-        place[K] = np.arange(r)
-        self.f0, self.K, self.perm = f0, K, place[c.perm[K]]
+        self.f0, self.K, self.perm = f0, K, np.searchsorted(K, c.perm[K])  # perm within K
         self.gathered = self.blocks[3][:, self.perm]  # M_kk F = this times f
-        # the screen's constants: A's constant columns' largest 1-norm, its
-        # others before F scales them, and B^-1 S_ck, B^-1 and its rows k
+        self.stack_size = max(1, STACK_BYTES // (16 * (r + n) ** 2))  # samples per solve
+        # `norms`' constants; the Woodbury norms are 0 and 1 if A = D
+        self.diag = S_cc[K, c.perm[K]]
+        self.off = np.abs(S_cc[:, c.perm[K]]).sum(axis=0) - np.abs(self.diag)
         self.norm0 = np.abs(B).sum(axis=0)[rest].max(initial=0.0)
-        self.cols, self.eye = S_cc[:, K][:, self.perm], np.eye(m)[:, K]
-        self.G, self.Binv, self.HI = XY[:, n:], Binv, Binv[K]
+        self.binv1, self.gh1 = ((_norm1(Binv), _norm1(XY[:, n:]) * _norm1(Binv[K]))
+                                if r < m else (0.0, 1.0))
+
+    def norms(self, Y, f):
+        """||A||_1 and a bound on ||A^-1||_1 for each sample's full block A =
+        I - S_cc F in O(r^2), from carrier entries f and Y = D^-1 M_kk of
+        `CompiledClosure.solve`.  As |f| = 1, carrier column c of A sums to
+        off_c + |1 - d_c f_c| (d_c = s_c, off_c the other |s_i|, s = S_cc[:,
+        perm[c]]); A's other columns are B's.  A = B - S_ck F E_k^T, so A^-1
+        = B^-1 + B^-1 S_ck F D^-1 (B^-1)_k. (Woodbury), with D^-1 = I + Y F
+        and ||F||_1 = 1: ||A^-1||_1 <= ||B^-1|| + ||B^-1 S_ck|| ||D^-1||
+        ||(B^-1)_k.||, or ||D^-1||_1 when every loop is open (A = D)."""
+        p = self.perm
+        norm = np.max(self.off + np.abs(1.0 - self.diag * f), axis=-1)
+        inverse = _norm1(np.eye(len(p)) + Y[..., :, p] * f[..., None, :])
+        return np.maximum(self.norm0, norm), self.binv1 + self.gh1 * inverse
 
 
 def _left(f, M, perm):
     """F M for the feedback entries f paired by perm (an involution)."""
-    return f[..., perm, None] * M[..., perm, :]
+    return _mul(f[..., perm, None], M[..., perm, :])
+
+
+def _mul(a, b):
+    """a * b from products with a real or an imaginary factor, each exact to
+    one rounding, where numpy's complex product rounds differently in long
+    stacks than in short ones: a sample gets the same bits in any stack."""
+    return a * b.real + (1j * a) * b.imag
 
 
 def _norm1(M):
     """1-norm (largest column sum of moduli) of each block of the stack M."""
-    return np.abs(M).sum(axis=-2).max(axis=-1)
+    return np.abs(M).sum(axis=-2).max(axis=-1, initial=0.0)
 
 
 def _rcond(A):
@@ -461,8 +462,6 @@ def close_series_truncated(
     if n_round_trips < 0:
         raise ValueError(f"n_round_trips must be >= 0, got {n_round_trips}")
     closure = CompiledClosure(S, terminations, links)
-    if not closure.closed:
-        return S
     f, _ = closure.feedback()
     S_oo, S_oc, S_co, S_cc = closure.blocks
     total = S_oo.astype(np.complex128, copy=True)

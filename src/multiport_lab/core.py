@@ -7,7 +7,7 @@ outgoing mode of a port.  Ports carry string labels ("p1".."pn" unless given)
 so composite networks can reference them by name.
 
 All values are immutable after construction and every operation is a pure
-function, so matrices and states can be shared freely between sweep workers.
+function, so matrices can be shared freely between sweep workers.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from .errors import DimensionError, PortError, ValidationError
 
 #: Tolerance for unitarity deviation ||S^dag S - I||_max of constructed devices.
 DEFAULT_UNITARITY_TOL = 1e-12
-#: Tolerance for entrywise comparison of closed/derived devices.
-DEFAULT_MATCH_TOL = 1e-10
 
 
 def default_port_labels(n: int) -> tuple[str, ...]:
@@ -70,29 +68,6 @@ class ScatteringMatrix:
         return ScatteringMatrix(self.matrix, tuple(port_labels))
 
 
-@dataclass(frozen=True, eq=False)
-class PortState:
-    """Column vector of complex port amplitudes."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        a = np.array(self.amplitudes, dtype=np.complex128)
-        if a.ndim != 1 or a.size == 0:
-            raise DimensionError(f"state must be a nonempty vector, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValidationError("state amplitudes must be finite")
-        a.setflags(write=False)
-        object.__setattr__(self, "amplitudes", a)
-
-    @property
-    def n_ports(self) -> int:
-        return self.amplitudes.size
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
 def make_beam_splitter_4port() -> ScatteringMatrix:
     """4-port 50:50 beam-splitter; ports 1,2 couple only to ports 3,4 (feed-forward)."""
     s = 1.0 / np.sqrt(2.0)
@@ -125,23 +100,6 @@ def make_grover_coin(d: int) -> ScatteringMatrix:
     return ScatteringMatrix(m)
 
 
-def make_identity(n: int) -> ScatteringMatrix:
-    """n-port device with the identity matrix: input at port j exits back out of port j."""
-    return ScatteringMatrix(np.eye(n))
-
-
-def apply(S: ScatteringMatrix, state: PortState) -> PortState:
-    """Scatter a state through a device: returns S @ state.
-
-    Norm is preserved (within 1e-12) for every unitary device.
-    """
-    if S.n_ports != state.n_ports:
-        raise DimensionError(
-            f"{S.n_ports}-port matrix cannot act on a {state.n_ports}-port state"
-        )
-    return PortState(S.matrix @ state.amplitudes)
-
-
 class UnitarityCheck(NamedTuple):
     deviation: float
     ok: bool
@@ -152,31 +110,3 @@ def check_unitary(S: ScatteringMatrix, tol: float = DEFAULT_UNITARITY_TOL) -> Un
     n = S.n_ports
     dev = float(np.max(np.abs(S.matrix.conj().T @ S.matrix - np.eye(n))))
     return UnitarityCheck(deviation=dev, ok=dev <= tol)
-
-
-def permute_ports(S: ScatteringMatrix, perm: Sequence[int]) -> ScatteringMatrix:
-    """Reorder ports: position i of the result is port perm[i] of the input.
-
-    Rows, columns and labels move together, so the device physics is unchanged.
-    """
-    perm = list(perm)
-    if len(perm) != S.n_ports:
-        raise DimensionError(f"permutation length {len(perm)} != port count {S.n_ports}")
-    if sorted(perm) != list(range(S.n_ports)):
-        raise ValidationError(f"not a permutation of 0..{S.n_ports - 1}: {perm}")
-    m = S.matrix[np.ix_(perm, perm)]
-    labels = tuple(S.port_labels[i] for i in perm)
-    return ScatteringMatrix(m, labels)
-
-
-def is_permutation_symmetric(S: ScatteringMatrix, tol: float = DEFAULT_MATCH_TOL) -> bool:
-    """True iff S is unchanged (within tol) by every exchange of two ports."""
-    n = S.n_ports
-    m = S.matrix
-    for i in range(n):
-        for j in range(i + 1, n):
-            perm = list(range(n))
-            perm[i], perm[j] = perm[j], perm[i]
-            if np.max(np.abs(m[np.ix_(perm, perm)] - m)) > tol:
-                return False
-    return True

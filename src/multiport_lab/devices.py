@@ -58,18 +58,6 @@ class SingleSealAmplitudes(NamedTuple):
     t: complex
 
 
-@dataclass(frozen=True)
-class MichelsonSupermodeCoeffs:
-    """Half-sum B and half-difference C of the two cavity phasors.
-
-    B + C = exp(i*phi1) and B - C = exp(i*phi2) by construction; up to a pi
-    phase shift these are the Michelson r and t.
-    """
-
-    B: complex
-    C: complex
-
-
 def _phasor_minus_one(phi):
     """exp(i*phi) - 1 evaluated as 2i sin(phi/2) exp(i*phi/2), accurate for tiny phi."""
     half = 0.5 * np.asarray(phi, dtype=np.float64)
@@ -143,17 +131,11 @@ def grover_single_seal_dT_dphi1(phi, phi2=None):
     return 4.0 * np.sin(p) / (5.0 - 4.0 * np.cos(p)) ** 2
 
 
-def michelson_supermode_coeffs(phi1: float, phi2: float) -> MichelsonSupermodeCoeffs:
-    """Half-sum/half-difference of the cavity phasors exp(i*phi1), exp(i*phi2)."""
-    z1 = complex(np.exp(1j * phi1))
-    z2 = complex(np.exp(1j * phi2))
-    return MichelsonSupermodeCoeffs(B=0.5 * (z1 + z2), C=0.5 * (z1 - z2))
-
-
 def grover_michelson_amplitudes(phi1: float, phi2: float) -> TwoPortAmplitudes:
     """Grover-Michelson interferometer: 4-port Grover coin with two sealed ports.
 
-    With B, C the supermode coefficients, the exact round-trip summation gives
+    With B, C the half-sum and half-difference of the cavity phasors
+    e^{i phi1}, e^{i phi2}, the exact round-trip summation gives
 
         r = C^2/(2B - 2) - B/2 - 1/2,      t = r + 1,
 

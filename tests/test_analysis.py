@@ -78,12 +78,15 @@ def test_netlist_sweep_matches_closed_form(name):
     assert_allclose(got.dT_dphi1, want.dT_dphi1, rtol=1e-9, atol=1e-12)
 
 
-@pytest.mark.parametrize("name", ["michelson", "bs-cavity", "grover-michelson"])
+@pytest.mark.parametrize("name", ["michelson", "bs-cavity", "grover-michelson",
+                                  "chain-8", "chain-32"])
 def test_netlist_point_has_the_same_bits_alone_and_in_a_grid(name):
     # the searches compare golden-section (scalar) values with scan values
-    model = netlist_device(builtin_netlist(name))
+    net = (_chain_netlist(np.random.default_rng(501), int(name[6:])) if name.startswith("chain")
+           else builtin_netlist(name))
+    model = netlist_device(net)
     grid = np.linspace(0.0, TWO_PI, 3001)
-    stack = model.closure().stack_size
+    stack = model.closure().reduction({"phi2": 0.7}).stack_size
     assert stack < grid.size  # the grid spans stack boundaries
     probs, dT = model.probabilities(grid, 0.7), model.dT_dphi1(grid, 0.7)
     for i in sorted({0, stack - 1, stack, 2 * stack - 1, 2 * stack, 1500, grid.size - 1}):
@@ -100,7 +103,12 @@ def test_netlist_sweep_solves_stacks_not_samples(monkeypatch):
     model = netlist_device(builtin_netlist("grover-michelson"))
     sweep(model, 0.7, GridSpec(0.0, TWO_PI, 257))
     # R, T and dT/dphi1 come from one pass over the grid
-    assert len(solves) == math.ceil(257 / model.closure().stack_size)
+    assert len(solves) == math.ceil(257 / model.closure().reduction({"phi2": 0.7}).stack_size)
+    # stacks are sized by the 1 x 1 reduced solve, not the 126 x 126 block
+    solves.clear()
+    sweep(netlist_device(_chain_netlist(np.random.default_rng(501), 32)), 0.7,
+          GridSpec(0.0, TWO_PI, 65))
+    assert len(solves) == 1
 
 
 def _random_unitary(rng, n):

@@ -29,7 +29,7 @@ from multiport_lab import (
     parse_netlist,
     seal_ports,
 )
-from multiport_lab.closure import SINGULARITY_RCOND, CompiledClosure
+from multiport_lab.closure import SINGULARITY_RCOND, CompiledClosure, Reduction
 from multiport_lab.netlist import close_netlist, combined_matrix
 from multiport_lab.phase_expr import PhaseExpr
 
@@ -302,7 +302,7 @@ def test_stacked_solve_matches_a_per_sample_loop_on_random_networks():
         S, seals, links = random_closure(rng)
         closure = CompiledClosure(S, seals, links)
         # not a multiple of the stack size the grid would be chunked by
-        phi1 = rng.uniform(0.0, 2.0 * np.pi, 2 * closure.stack_size + 37)
+        phi1 = rng.uniform(0.0, 2.0 * np.pi, 2 * closure.reduction({}).stack_size + 37)
         bindings = {"phi1": phi1, "phi2": float(rng.uniform(0.0, 2.0 * np.pi))}
         got, dgot = closure.solve(lambda p: p.evaluate(bindings),
                                   lambda p: p.derivative("phi1", bindings))
@@ -520,6 +520,34 @@ def test_reduced_closure_matches_the_reference_solve(case):
             S, seals, links, open_ports, {**b, "phi1": float(x)})) for x in b["phi1"]])
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), (case, trial)
+
+
+@pytest.mark.parametrize("case", sorted(CARRIERS))
+def test_screen_bounds_the_inverse_and_has_the_exact_norm(case, monkeypatch):
+    # the screen may only overestimate ||A^-1||_1, so it clears no sample
+    # that the exact 1-norm condition would catch
+    seen = []
+    norms = Reduction.norms
+    monkeypatch.setattr(Reduction, "norms", lambda *args: seen.append(norms(*args)) or seen[-1])
+    carriers, _ = CARRIERS[case]
+    rng = np.random.default_rng(20261023)
+    ratios = []
+    for trial in range(6):
+        S, seals, links, open_ports = carrier_network(rng, carriers)
+        closure = CompiledClosure(S, seals, links, open_ports)
+        b = {"phi1": rng.uniform(0.0, 2.0 * np.pi, 200), "phi2": float(rng.uniform(0.0, 2.0 * np.pi))}
+        seen.clear()
+        closure.solve(lambda p: p.evaluate(b))
+        (norm, bound), = seen
+        A, _ = reference_gate(closure, lambda p: p.evaluate(b))
+        want = np.linalg.norm(A, 1, axis=(-2, -1))
+        assert np.max(np.abs(norm - want) / want) <= 1e-13, (case, trial)
+        exact = np.linalg.norm(np.linalg.inv(A), 1, axis=(-2, -1))
+        # equal when every loop is open to the samples, up to rounding
+        assert np.all(bound >= (1.0 - 1e-9) * exact), (case, trial)
+        ratios.append(bound / exact)
+    # and stays close enough to send no healthy sample to the SVD
+    assert np.max(ratios) < 10.0, case
 
 
 def test_constant_loops_that_trap_a_bound_state_raise_the_full_message():

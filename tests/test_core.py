@@ -4,17 +4,12 @@ from numpy.testing import assert_allclose
 
 from multiport_lab import (
     DimensionError,
-    PortState,
     ScatteringMatrix,
     ValidationError,
-    apply,
     check_unitary,
-    is_permutation_symmetric,
     make_beam_splitter_4port,
     make_grover_coin,
     make_hadamard2,
-    make_identity,
-    permute_ports,
 )
 
 
@@ -38,11 +33,6 @@ def test_grover_coin_rejects_small_dimension(d):
         make_grover_coin(d)
 
 
-def test_grover_coin_is_permutation_symmetric():
-    assert is_permutation_symmetric(make_grover_coin(5))
-    assert not is_permutation_symmetric(make_beam_splitter_4port())
-
-
 def test_beam_splitter_routes_inputs_to_outputs():
     S = make_beam_splitter_4port()
     s = 1.0 / np.sqrt(2.0)
@@ -63,22 +53,6 @@ def test_hadamard2_matches_beam_splitter_block():
     H = make_hadamard2()
     S = make_beam_splitter_4port()
     assert_allclose(H.matrix, S.matrix[2:, :2], atol=0)
-
-
-def test_identity_passes_through():
-    S = make_identity(3)
-    state = PortState(np.array([1.0, 0.0, 0.0]))
-    out = apply(S, state)
-    assert_allclose(out.amplitudes, state.amplitudes)
-
-
-def test_apply_preserves_norm():
-    rng = np.random.default_rng(42)
-    amps = rng.normal(size=6) + 1j * rng.normal(size=6)
-    amps /= np.linalg.norm(amps)
-    state = PortState(amps)
-    out = apply(make_grover_coin(6), state)
-    assert out.norm() == pytest.approx(1.0, abs=1e-14)
 
 
 def test_scattering_matrix_default_labels():
@@ -117,18 +91,3 @@ def test_relabeled_keeps_matrix():
     S = make_hadamard2().relabeled(("in", "out"))
     assert S.port_labels == ("in", "out")
     assert_allclose(S.matrix, make_hadamard2().matrix)
-
-
-def test_permute_ports_reorders_both_axes():
-    S = make_beam_splitter_4port()
-    P = permute_ports(S, [2, 3, 0, 1])
-    assert P.port_labels == ("p3", "p4", "p1", "p2")
-    # conjugating by the same permutation on rows and columns
-    perm = np.array([2, 3, 0, 1])
-    assert_allclose(P.matrix, S.matrix[np.ix_(perm, perm)], atol=0)
-
-
-def test_permute_ports_rejects_bad_permutation():
-    S = make_grover_coin(3)
-    with pytest.raises(ValidationError):
-        permute_ports(S, [0, 0, 1])

@@ -30,7 +30,6 @@ from multiport_lab import (
     michelson_amplitudes,
     michelson_dT_dphi1,
     michelson_probabilities,
-    michelson_supermode_coeffs,
     seal_ports,
 )
 
@@ -81,12 +80,6 @@ def test_michelson_depends_only_on_phase_difference():
     base = michelson_probabilities(GRID, 0.0)
     shifted = michelson_probabilities(GRID + delta, delta)
     assert_allclose(shifted.T, base.T, atol=1e-13)
-
-
-def test_michelson_supermode_coefficients_normalized():
-    for p1, p2 in [(0.3, 1.2), (2.0, 2.0), (5.5, 0.1)]:
-        c = michelson_supermode_coeffs(p1, p2)
-        assert abs(c.B) ** 2 + abs(c.C) ** 2 == pytest.approx(1.0, abs=1e-13)
 
 
 # --- beam splitter cavity ----------------------------------------------------
