@@ -20,7 +20,8 @@ the MULTIPORT_LAB_TOL environment variable and per-run by --tol.
 
 CSV output is locale-independent and deterministic: '.' decimals, '\\n' line
 endings, shortest round-trip float formatting; identical invocations produce
-byte-identical files.
+byte-identical files.  CSVs are written in blocks of rows, so memory does not
+grow with the file.  A file that cannot be written exits 1.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ EXIT_UNREACHABLE = 3
 
 SWEEP_CSV_HEADER = "phi1,R,T,dT_dphi1"
 SENSITIVITY_CSV_HEADER = "phi2,max_slope_gm,max_slope_michelson,argmax_phi1"
+#: rows formatted and written per step of `_write_csv`
+CSV_BLOCK_ROWS = 1024
 
 
 class _Parser(argparse.ArgumentParser):
@@ -181,18 +184,47 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _write_text(path: Optional[str], text: str) -> None:
+def _write(path: Optional[str], chunks) -> None:
+    """Write the strings `chunks` in turn to `path`, or to stdout if None.
+    A file that cannot be opened or written is a ValidationError."""
     if path is None:
-        sys.stdout.write(text)
-    else:
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _csv(header: str, rows) -> str:
-    lines = [header]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _write_csv(path: Optional[str], header: str, columns) -> None:
+    """Write `header` and the rows of the equal-length float `columns`,
+    CSV_BLOCK_ROWS rows at a time, so memory does not grow with the file.
+    '%r' of a Python float (from `tolist`) is its shortest round-trip repr."""
+    columns = [np.asarray(c, dtype=np.float64) for c in columns]
+    row = ",".join(["%r"] * len(columns)) + "\n"
+
+    def blocks():
+        yield header + "\n"
+        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            block = (c[start:start + CSV_BLOCK_ROWS].tolist() for c in columns)
+            yield "".join(map(row.__mod__, zip(*block)))
+
+    _write(path, blocks())
+
+
+def _silence_stdout() -> None:
+    """Point stdout's descriptor at the null device, so the flush at exit
+    does not meet the closed pipe again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # not a real file
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 # --- commands --------------------------------------------------------------
@@ -218,15 +250,14 @@ def cmd_sweep(args, tol: float) -> int:
     phi2 = _angle(args.phi2, args.degrees)
     grid = _parse_grid(args.phi1_grid, args.degrees)
     curve = analysis.sweep(model, phi2, grid)
-    rows = zip(curve.phi1, curve.R, curve.T, curve.dT_dphi1)
-    _write_text(args.out, _csv(SWEEP_CSV_HEADER, rows))
+    _write_csv(args.out, SWEEP_CSV_HEADER, (curve.phi1, curve.R, curve.T, curve.dT_dphi1))
     if args.svg:
         chart = svg.line_chart(
             [(f"T ({curve.device_id})", curve.phi1, curve.T)],
             x_label="phi1 (rad)", y_label="T",
             title=f"transmission at phi2={phi2:.6g}",
         )
-        _write_text(args.svg, chart)
+        _write(args.svg, [chart])
     return EXIT_OK
 
 
@@ -254,23 +285,19 @@ def cmd_sensitivity(args, tol: float) -> int:
     phi2_values = _phi2_grid_values(grid, args.spacing)
     gm = analysis.sensitivity_profile("grover-michelson", phi2_values)
     mich = analysis.sensitivity_profile("michelson", phi2_values)
-    rows = [
-        (g.phi2, g.max_abs_slope, m.max_abs_slope, g.argmax_phi1)
-        for g, m in zip(gm.points, mich.points)
-    ]
-    _write_text(args.out, _csv(SENSITIVITY_CSV_HEADER, rows))
+    columns = ([p.phi2 for p in gm.points], [p.max_abs_slope for p in gm.points],
+               [p.max_abs_slope for p in mich.points], [p.argmax_phi1 for p in gm.points])
+    _write_csv(args.out, SENSITIVITY_CSV_HEADER, columns)
     if args.svg:
         chart = svg.line_chart(
             [
-                ("grover-michelson", [p.phi2 for p in gm.points],
-                 [p.max_abs_slope for p in gm.points]),
-                ("michelson", [p.phi2 for p in mich.points],
-                 [p.max_abs_slope for p in mich.points]),
+                ("grover-michelson", columns[0], columns[1]),
+                ("michelson", columns[0], columns[2]),
             ],
             x_label="phi2 (rad)", y_label="max |dT/dphi1|",
             title="maximum sensitivity", log_y=True,
         )
-        _write_text(args.svg, chart)
+        _write(args.svg, [chart])
     return EXIT_OK
 
 
@@ -327,6 +354,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except MultiportError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except BrokenPipeError:
+        # the reader of stdout stopped early (`| head`); as when the whole
+        # output fits the pipe, that is no error
+        _silence_stdout()
+        return EXIT_OK
 
 
 if __name__ == "__main__":

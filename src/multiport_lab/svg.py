@@ -1,4 +1,4 @@
-"""Minimal SVG line charts, no dependencies.
+"""Minimal SVG line charts, built with numpy and the standard library.
 
 Good enough to eyeball a transmission curve or a sensitivity profile; CSVs
 remain the machine-readable output.
@@ -9,12 +9,17 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 _PALETTE = ("#1f6fb2", "#c44e52", "#55a868", "#8172b2")
 
 _MARGIN_LEFT = 64
 _MARGIN_RIGHT = 16
 _MARGIN_TOP = 24
 _MARGIN_BOTTOM = 46
+
+#: polyline points formatted per step
+_POINTS_PER_BLOCK = 4096
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -50,20 +55,23 @@ def line_chart(
     height: int = 440,
     log_y: bool = False,
 ) -> str:
-    """Render (label, xs, ys) series to an SVG document string."""
-    xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys]
-    if not xs_all:
+    """Render (label, xs, ys) series to an SVG document string; xs and ys
+    may be sequences or arrays of floats."""
+    columns = [(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+               for _, xs, ys in series]
+    xs_all = np.concatenate([xs for xs, _ in columns]) if columns else np.empty(0)
+    ys_all = np.concatenate([ys for _, ys in columns]) if columns else np.empty(0)
+    if not xs_all.size:
         raise ValueError("nothing to plot")
 
-    x_lo, x_hi = min(xs_all), max(xs_all)
+    x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
     if log_y:
-        positive = [y for y in ys_all if y > 0]
-        floor = min(positive) if positive else 1e-12
+        positive = ys_all[ys_all > 0]
+        floor = float(positive.min()) if positive.size else 1e-12
         y_lo = math.log10(floor)
-        y_hi = math.log10(max(max(ys_all), floor * 10))
+        y_hi = math.log10(max(float(ys_all.max()), floor * 10))
     else:
-        y_lo, y_hi = min(ys_all), max(ys_all)
+        y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -72,13 +80,25 @@ def line_chart(
     plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
 
-    def sx(x: float) -> float:
+    def sx(x):
         return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def sy(y: float) -> float:
-        if log_y:
-            y = math.log10(y) if y > 0 else y_lo
+    def sy(y):  # y already on the log scale for log_y
         return _MARGIN_TOP + (1.0 - (y - y_lo) / (y_hi - y_lo)) * plot_h
+
+    def polyline(xs, ys):
+        """The points attribute: sx, sy elementwise (the same doubles as on
+        scalars), log10 per value as math does it."""
+        n = min(len(xs), len(ys))
+        px = sx(xs[:n])
+        if log_y:
+            ys = np.array([math.log10(y) if y > 0 else y_lo for y in ys[:n].tolist()])
+        py = sy(ys[:n])
+        return " ".join(
+            " ".join(map("%.2f,%.2f".__mod__, zip(px[i:i + _POINTS_PER_BLOCK].tolist(),
+                                                  py[i:i + _POINTS_PER_BLOCK].tolist())))
+            for i in range(0, n, _POINTS_PER_BLOCK)
+        )
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -109,7 +129,7 @@ def line_chart(
         )
     y_tick_vals = _ticks(y_lo, y_hi)
     for t in y_tick_vals:
-        py = _MARGIN_TOP + (1.0 - (t - y_lo) / (y_hi - y_lo)) * plot_h
+        py = sy(t)
         label = _fmt_tick(10.0 ** t) if log_y else _fmt_tick(t)
         parts.append(
             f'<line x1="{_MARGIN_LEFT - 4}" y1="{py:.2f}" x2="{_MARGIN_LEFT}" '
@@ -129,9 +149,9 @@ def line_chart(
         f'transform="rotate(-90 14 {_MARGIN_TOP + plot_h / 2:.1f})">{y_label}</text>'
     )
 
-    for k, (label, xs, ys) in enumerate(series):
+    for k, ((label, _, _), (xs, ys)) in enumerate(zip(series, columns)):
         color = _PALETTE[k % len(_PALETTE)]
-        points = " ".join(f"{sx(float(x)):.2f},{sy(float(y)):.2f}" for x, y in zip(xs, ys))
+        points = polyline(xs, ys)
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

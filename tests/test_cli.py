@@ -307,3 +307,34 @@ def test_builtin_name_wins_over_file_in_every_command(tmp_path):
     res = run("bias", "--device", "fusion", "--phi2", "0", "--target", "0.5",
               cwd=tmp_path, env_extra=env)
     assert res.returncode == 3
+
+
+@pytest.mark.parametrize("option", ["--out", "--svg"])
+def test_unwritable_output_is_a_validation_error(option, tmp_path):
+    # used to end in a FileNotFoundError traceback; for --svg, after the CSV
+    path = tmp_path / "missing" / "x"
+    res = run("sweep", "--device", "michelson", "--phi2", "1", option, str(path))
+    assert res.returncode == 1
+    assert res.stderr == f"error: cannot write {path}: No such file or directory\n"
+
+
+def test_output_path_that_is_a_directory_is_a_validation_error(tmp_path):
+    res = run("sensitivity", "--phi2-grid", "0.5:3:2", "--spacing", "linear",
+              "--out", str(tmp_path))
+    assert res.returncode == 1
+    assert res.stderr.startswith(f"error: cannot write {tmp_path}: ")
+    assert "Traceback" not in res.stderr
+
+
+def test_stdout_closed_early_ends_quietly():
+    # `sweep ... | head -1`: the reader leaves while many row blocks remain
+    proc = subprocess.Popen(
+        CMD + ["sweep", "--device", "michelson", "--phi2", "1", "--phi1-grid", "0:1:200000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"phi1,R,T,dT_dphi1\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert stderr == b""
