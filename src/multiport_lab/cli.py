@@ -186,10 +186,15 @@ def _fmt(x: float) -> str:
 
 def _write(path: Optional[str], chunks) -> None:
     """Write the strings `chunks` in turn to `path`, or to stdout if None.
-    A file that cannot be opened or written is a ValidationError."""
+    A file that cannot be opened or written is a ValidationError; a reader
+    of stdout that stops early (`| head`) ends the stdout output quietly."""
     if path is None:
-        for chunk in chunks:
-            sys.stdout.write(chunk)
+        try:
+            for chunk in chunks:
+                sys.stdout.write(chunk)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            _silence_stdout()
         return
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -354,11 +359,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except MultiportError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except BrokenPipeError:
-        # the reader of stdout stopped early (`| head`); as when the whole
-        # output fits the pipe, that is no error
-        _silence_stdout()
-        return EXIT_OK
 
 
 if __name__ == "__main__":

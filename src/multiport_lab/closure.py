@@ -181,7 +181,6 @@ class CompiledClosure:
                                 p.evaluate() if isinstance(p, PhaseExpr) else float(p)
                                 for i, p in enumerate(phases)])
         self._reduced = None  # (bindings, Reduction) of the last `reduction`
-        self._plans = {}  # `_port_loops` by port set
 
     def feedback(self, value=float, slope=None, ports=None):
         """Entries f of the feedback matrix F and, when `slope` maps a phase
@@ -191,41 +190,25 @@ class CompiledClosure:
         their value and slope 0); arrays they return lead f and df as batch
         axes: (..., m) for m ports.
         """
-        owner, exprs, sign, share, phase, still = self._port_loops(ports)
+        # no np.unique: sorting pages in ~0.7 MB of SIMD sort code
+        owners = (self._owner if ports is None else self._owner[ports]).tolist()
+        loops = sorted(set(owners))
+        owner = [loops.index(i) for i in owners]
+        varying = [i in self._varying for i in loops]
 
         def per_loop(of, constant):  # (..., loops)
-            if exprs is None:
+            if not any(varying):
                 return constant
-            values = [c if e is None else of(e) for e, c in zip(exprs, constant)]
-            if len(values) == 1:  # one loop, as for every built-in's phi1
-                return np.asarray(values[0])[..., None]
+            values = [of(self.loops[i][3]) if v else c for i, v, c in zip(loops, varying, constant)]
             return np.stack(np.broadcast_arrays(*values), -1)
 
         # products with a purely real or imaginary factor are exact up to one
         # rounding, so a sample gets the same bits alone or stacked
-        amp = sign * np.exp(1j * (share * per_loop(value, phase)))
+        share = self._share[loops]
+        amp = self._sign[loops] * np.exp(1j * (share * per_loop(value, self._phase[loops])))
         if slope is None:
             return amp[..., owner], None
-        return amp[..., owner], (1j * (share * per_loop(slope, still)) * amp)[..., owner]
-
-    def _port_loops(self, ports):
-        """What `feedback` reads of the loops that own the closed ports
-        `ports`, built once per port set: (each port's place among them,
-        their phases with a free symbol or None (None for all if none has
-        one), sign, share, the other phases' radians, zero slopes)."""
-        key = None if ports is None else tuple(np.asarray(ports).tolist())
-        plan = self._plans.get(key)
-        if plan is None:
-            # no np.unique: sorting pages in ~0.7 MB of SIMD sort code
-            owners = (self._owner if ports is None else self._owner[ports]).tolist()
-            loops = sorted(set(owners))
-            owner = np.array([loops.index(i) for i in owners], dtype=np.intp)
-            exprs = [self.loops[i][3] if i in self._varying else None for i in loops]
-            if exprs.count(None) == len(exprs):
-                exprs = None
-            plan = self._plans[key] = (owner, exprs, self._sign[loops], self._share[loops],
-                                       self._phase[loops], np.zeros(len(loops)))
-        return plan
+        return amp[..., owner], (1j * (share * per_loop(slope, np.zeros(len(loops)))) * amp)[..., owner]
 
     def reduction(self, bindings: Mapping[str, float]) -> "Reduction":
         """The `Reduction` at `bindings` of the symbols other than phi1, all

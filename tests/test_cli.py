@@ -326,10 +326,13 @@ def test_output_path_that_is_a_directory_is_a_validation_error(tmp_path):
     assert "Traceback" not in res.stderr
 
 
-def test_stdout_closed_early_ends_quietly():
-    # `sweep ... | head -1`: the reader leaves while many row blocks remain
+def test_stdout_closed_early_ends_quietly(tmp_path):
+    # `sweep --svg x.svg ... | head -1`: the reader leaves while many row
+    # blocks remain; the chart is still written
+    chart = tmp_path / "x.svg"
     proc = subprocess.Popen(
-        CMD + ["sweep", "--device", "michelson", "--phi2", "1", "--phi1-grid", "0:1:200000"],
+        CMD + ["sweep", "--device", "michelson", "--phi2", "1", "--phi1-grid", "0:1:200000",
+               "--svg", str(chart)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     assert proc.stdout.readline() == b"phi1,R,T,dT_dphi1\n"
@@ -338,3 +341,4 @@ def test_stdout_closed_early_ends_quietly():
     proc.stderr.close()
     assert proc.wait() == 0
     assert stderr == b""
+    assert "</svg>" in chart.read_text(encoding="utf-8")
