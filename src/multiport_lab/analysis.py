@@ -404,11 +404,13 @@ def find_bias_point(device: DeviceLike, phi2: float, target_T: float,
     """phi1 with T(phi1, phi2) = target_T, preferring the steep monotone
     segment through the max-|slope| point (the natural readout region).
 
-    Raises TargetUnreachableError when the target lies outside the curve's
-    range at this phi2.
+    Raises ValidationError for a NaN target, and TargetUnreachableError when
+    the target lies outside the curve's range at this phi2.
     """
     model = resolve_device(device)
     target = float(target_T)
+    if math.isnan(target):
+        raise ValidationError("target T must be a number, got nan")
 
     # Attainable range: a grid resolving every scale around the resonances
     # and the steepest point, its extreme samples refined between neighbours.

@@ -19,9 +19,11 @@ The default tolerance (netlist unitarity validation) is 1e-12, overridable by
 the MULTIPORT_LAB_TOL environment variable and per-run by --tol.
 
 CSV output is locale-independent and deterministic: '.' decimals, '\\n' line
-endings, shortest round-trip float formatting; identical invocations produce
+endings, and floats from a vectorized shortest round-trip formatter
+(`floatfmt`), byte-identical to Python's repr; identical invocations produce
 byte-identical files.  CSVs are written in blocks of rows, so memory does not
-grow with the file.  A file that cannot be written exits 1.
+grow with the file.  A device file that cannot be read, or an output file that
+cannot be written, exits 1.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import analysis, svg
+from . import analysis, floatfmt, svg
 from .analysis import GridSpec
 from .core import DEFAULT_UNITARITY_TOL, check_unitary
 from .errors import (
@@ -165,7 +167,12 @@ def _resolve_device(name: str, tol: float):
         return name, builtin_netlist(name)
     path = Path(name)
     if path.exists():
-        return path.stem, parse_netlist(path.read_text(encoding="utf-8"), unitarity_tol=tol)
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise ValidationError(f"cannot read {path}: {reason}") from None
+        return path.stem, parse_netlist(text, unitarity_tol=tol)
     raise ValidationError(
         f"unknown device {name!r}: not a builtin netlist "
         f"({', '.join(BUILTIN_NETLIST_NAMES)}) or file"
@@ -207,15 +214,14 @@ def _write(path: Optional[str], chunks) -> None:
 def _write_csv(path: Optional[str], header: str, columns) -> None:
     """Write `header` and the rows of the equal-length float `columns`,
     CSV_BLOCK_ROWS rows at a time, so memory does not grow with the file.
-    '%r' of a Python float (from `tolist`) is its shortest round-trip repr."""
+    Each value is written as its shortest round-trip repr (`floatfmt`)."""
     columns = [np.asarray(c, dtype=np.float64) for c in columns]
-    row = ",".join(["%r"] * len(columns)) + "\n"
 
     def blocks():
         yield header + "\n"
         for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-            block = (c[start:start + CSV_BLOCK_ROWS].tolist() for c in columns)
-            yield "".join(map(row.__mod__, zip(*block)))
+            block = [c[start:start + CSV_BLOCK_ROWS] for c in columns]
+            yield floatfmt.format_rows(np.stack(block, axis=1))
 
     _write(path, blocks())
 

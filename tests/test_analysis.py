@@ -448,6 +448,11 @@ def test_bias_target_above_range():
         find_bias_point("michelson", 0.0, -0.25)
 
 
+def test_bias_nan_target_is_invalid_not_unreachable():
+    with pytest.raises(ValidationError, match="nan"):
+        find_bias_point("michelson", 0.0, math.nan)
+
+
 # --- perturbation response ---------------------------------------------------
 
 def test_zero_delta_is_inert():

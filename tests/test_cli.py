@@ -233,6 +233,13 @@ def test_unreachable_target_exit_code():
     assert res.returncode == 3
 
 
+def test_nan_target_exit_code():
+    # was exit 3, "target T=nan outside attainable range"
+    res = run("bias", "--device", "michelson", "--phi2", "0", "--target", "nan")
+    assert res.returncode == 1
+    assert res.stderr == "error: target T must be a number, got nan\n"
+
+
 def test_bad_angle_expression_exit_code():
     res = run("smatrix", "--device", "michelson", "--phi1", "pi/")
     assert res.returncode == 1
@@ -342,3 +349,23 @@ def test_stdout_closed_early_ends_quietly(tmp_path):
     assert proc.wait() == 0
     assert stderr == b""
     assert "</svg>" in chart.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", [
+    ["smatrix"], ["sweep", "--phi2", "1"], ["bias", "--phi2", "1", "--target", "0.5"],
+])
+def test_device_that_is_a_directory_is_a_validation_error(command, tmp_path):
+    # used to end in an IsADirectoryError traceback
+    res = run(command[0], "--device", str(tmp_path), *command[1:])
+    assert res.returncode == 1
+    assert res.stderr == f"error: cannot read {tmp_path}: Is a directory\n"
+
+
+def test_device_file_that_is_not_utf8_is_a_validation_error(tmp_path):
+    # used to end in a UnicodeDecodeError traceback
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"devices": [{"id": "caf\xe9", "kind": "grover(4)"}]}')
+    res = run("smatrix", "--device", str(path))
+    assert res.returncode == 1
+    assert res.stderr.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+    assert res.stderr.count("\n") == 1
