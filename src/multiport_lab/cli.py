@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import analysis, floatfmt, svg
+from . import analysis, svg
 from .analysis import GridSpec
 from .core import DEFAULT_UNITARITY_TOL, check_unitary
 from .errors import (
@@ -171,7 +171,7 @@ def _resolve_device(name: str, tol: float):
             text = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             reason = getattr(exc, "strerror", None) or exc
-            raise ValidationError(f"cannot read {path}: {reason}") from None
+            raise ValidationError(f"cannot read {name}: {reason}") from None
         return path.stem, parse_netlist(text, unitarity_tol=tol)
     raise ValidationError(
         f"unknown device {name!r}: not a builtin netlist "
@@ -215,6 +215,9 @@ def _write_csv(path: Optional[str], header: str, columns) -> None:
     """Write `header` and the rows of the equal-length float `columns`,
     CSV_BLOCK_ROWS rows at a time, so memory does not grow with the file.
     Each value is written as its shortest round-trip repr (`floatfmt`)."""
+    # imported here, so that commands writing no CSV do not load it
+    from . import floatfmt
+
     columns = [np.asarray(c, dtype=np.float64) for c in columns]
 
     def blocks():
