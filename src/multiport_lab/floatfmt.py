@@ -18,7 +18,8 @@ integer arithmetic, in two steps:
 
 Every integer operand is an explicit ``np.uint64``/``np.int64`` array or
 scalar: numpy < 2 promotes ``uint64`` mixed with a Python int or an ``int64``
-to float64, which would lose bits.  The tables are built on first use.
+to float64, which would lose bits.  The tables are built on first use, so
+commands that write no CSV do not pay for them.
 """
 
 from __future__ import annotations
