@@ -14,18 +14,11 @@ NANS = [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
         0xFFFFFFFFFFFFFFFF]
 
 
-def reference(values):
-    return [repr(v) for v in np.asarray(values, dtype=np.float64).ravel().tolist()]
-
-
-def formatted(values):
-    """format_rows of `values` as one column: one string per value."""
-    column = np.asarray(values, dtype=np.float64).reshape(-1, 1)
-    return floatfmt.format_rows(column).splitlines()
-
-
 def assert_repr(values):
-    got, want = formatted(values), reference(values)
+    """format_rows of `values` as one column gives one repr per line."""
+    values = np.asarray(values, dtype=np.float64)
+    got = floatfmt.format_rows(values.reshape(-1, 1)).splitlines()
+    want = [repr(v) for v in values.tolist()]
     assert len(got) == len(want)
     wrong = [(w, g) for g, w in zip(got, want) if g != w]
     assert wrong[:5] == []
@@ -57,12 +50,6 @@ def corpus():
 
 def test_corpus_is_written_as_repr():
     assert_repr(corpus())
-
-
-def test_special_values():
-    values = np.concatenate([[0.0, -0.0, math.inf, -math.inf],
-                             np.array(NANS, dtype=np.uint64).view(np.float64)])
-    assert formatted(values) == ["0.0", "-0.0", "inf", "-inf"] + ["nan"] * len(NANS)
 
 
 def test_rows_are_joined_by_commas_and_ended_by_newlines():
