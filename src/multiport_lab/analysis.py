@@ -181,6 +181,10 @@ class GridSpec(NamedTuple):
             raise ValidationError(
                 f"grid stop must exceed start, got [{self.start}, {self.stop}]"
             )
+        if not math.isfinite(self.stop - self.start):
+            raise ValidationError(
+                f"grid span stop - start overflows, got [{self.start}, {self.stop}]"
+            )
         return self
 
     def values(self) -> np.ndarray:
@@ -210,9 +214,13 @@ class SweepCurve:
         n = self.phi1.shape[0]
         if any(getattr(self, name).shape != (n,) for name in ("R", "T", "dT_dphi1")):
             raise ValidationError("sweep arrays must share one length")
-        if np.any(np.diff(self.phi1) <= 0):
+        # no full-length temporaries but one scratch column: grids reach
+        # MAX_GRID_POINTS
+        if np.any(self.phi1[1:] <= self.phi1[:-1]):
             raise ValidationError("sweep grid must be strictly increasing in phi1")
-        worst = float(np.max(np.abs(self.R + self.T - 1.0)))
+        scratch = np.add(self.R, self.T)
+        scratch -= 1.0
+        worst = float(np.max(np.abs(scratch, out=scratch)))
         if worst > 1e-10:
             raise ValidationError(f"R + T deviates from 1 by {worst:.3e}")
 
@@ -266,14 +274,11 @@ def sweep(device: DeviceLike, phi2: float, grid: GridSpec) -> SweepCurve:
         # less peak RSS than the reverse
         dT = model.dT_dphi1(phi1, phi2)
         R, T = model.probabilities(phi1, phi2)
-    return SweepCurve(
-        device_id=model.device_id,
-        phi2=float(phi2),
-        phi1=phi1,
-        R=np.broadcast_to(R, phi1.shape).copy(),
-        T=np.broadcast_to(T, phi1.shape).copy(),
-        dT_dphi1=dT,
-    )
+    # a device with no phi1 dependence may give R and T unbroadcast
+    R, T = (x if np.shape(x) == phi1.shape else np.broadcast_to(x, phi1.shape).copy()
+            for x in (R, T))
+    return SweepCurve(device_id=model.device_id, phi2=float(phi2), phi1=phi1, R=R, T=T,
+                      dT_dphi1=dT)
 
 
 # --- resonances ------------------------------------------------------------

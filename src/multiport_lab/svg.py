@@ -1,7 +1,10 @@
 """Minimal SVG line charts, built with numpy and the standard library.
 
 Good enough to eyeball a transmission curve or a sensitivity profile; CSVs
-remain the machine-readable output.
+remain the machine-readable output.  `line_chart` returns the document as a
+list of string chunks, the polyline points `_POINTS_PER_BLOCK` at a time
+(`floatfmt.format_pairs`, byte-identical to ``"%.2f"``), so a writer can
+write a dense curve without holding it as one string.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import floatfmt
+
 _PALETTE = ("#1f6fb2", "#c44e52", "#55a868", "#8172b2")
 
 _MARGIN_LEFT = 64
@@ -18,7 +23,7 @@ _MARGIN_RIGHT = 16
 _MARGIN_TOP = 24
 _MARGIN_BOTTOM = 46
 
-#: polyline points formatted per step
+#: polyline points formatted per step, and per chunk of the document
 _POINTS_PER_BLOCK = 4096
 
 
@@ -29,9 +34,14 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s * mag for s in (1.0, 2.0, 2.5, 5.0, 10.0) if s * mag >= raw)
     first = math.ceil(lo / step) * step
+    # Far from 0, step can be near an ulp of t, where t += step stalls or
+    # overshoots: the count of steps in the span, not t, ends the loop.
+    count = math.floor((hi - first) / step + 1e-9) + 1
     out = []
     t = first
-    while t <= hi + 1e-12 * abs(hi):
+    for _ in range(count):
+        if t > hi + min(1e-12 * abs(hi), 1e-9 * step) or (out and t == out[-1]):
+            break
         out.append(0.0 if abs(t) < step * 1e-9 else t)
         t += step
     return out
@@ -54,24 +64,29 @@ def line_chart(
     width: int = 720,
     height: int = 440,
     log_y: bool = False,
-) -> str:
-    """Render (label, xs, ys) series to an SVG document string; xs and ys
-    may be sequences or arrays of floats."""
+) -> list[str]:
+    """Render (label, xs, ys) series to an SVG document, returned as string
+    chunks to be written in turn; xs and ys may be sequences or arrays of
+    floats."""
     columns = [(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
                for _, xs, ys in series]
-    xs_all = np.concatenate([xs for xs, _ in columns]) if columns else np.empty(0)
-    ys_all = np.concatenate([ys for _, ys in columns]) if columns else np.empty(0)
-    if not xs_all.size:
+    xs_all = [xs for xs, _ in columns if xs.size]
+    ys_all = [ys for _, ys in columns if ys.size]
+    if not xs_all:
         raise ValueError("nothing to plot")
 
-    x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
+    # np.min/np.max of the per-series extremes, not of the series joined
+    # into one copy: a nan anywhere still wins
+    x_lo = float(np.min([xs.min() for xs in xs_all]))
+    x_hi = float(np.max([xs.max() for xs in xs_all]))
     if log_y:
-        positive = ys_all[ys_all > 0]
-        floor = float(positive.min()) if positive.size else 1e-12
+        positive = [p for p in (ys[ys > 0] for ys in ys_all) if p.size]
+        floor = float(np.min([p.min() for p in positive])) if positive else 1e-12
         y_lo = math.log10(floor)
-        y_hi = math.log10(max(float(ys_all.max()), floor * 10))
+        y_hi = math.log10(max(float(np.max([ys.max() for ys in ys_all])), floor * 10))
     else:
-        y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
+        y_lo = float(np.min([ys.min() for ys in ys_all]))
+        y_hi = float(np.max([ys.max() for ys in ys_all]))
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -87,18 +102,16 @@ def line_chart(
         return _MARGIN_TOP + (1.0 - (y - y_lo) / (y_hi - y_lo)) * plot_h
 
     def polyline(xs, ys):
-        """The points attribute: sx, sy elementwise (the same doubles as on
-        scalars), log10 per value as math does it."""
+        """The points attribute, one chunk per block of points: sx, sy
+        elementwise (the same doubles as on scalars), log10 per value as
+        math does it."""
         n = min(len(xs), len(ys))
-        px = sx(xs[:n])
-        if log_y:
-            ys = np.array([math.log10(y) if y > 0 else y_lo for y in ys[:n].tolist()])
-        py = sy(ys[:n])
-        return " ".join(
-            " ".join(map("%.2f,%.2f".__mod__, zip(px[i:i + _POINTS_PER_BLOCK].tolist(),
-                                                  py[i:i + _POINTS_PER_BLOCK].tolist())))
-            for i in range(0, n, _POINTS_PER_BLOCK)
-        )
+        for i in range(0, n, _POINTS_PER_BLOCK):
+            j = min(i + _POINTS_PER_BLOCK, n)
+            block = ys[i:j]
+            if log_y:
+                block = np.array([math.log10(y) if y > 0 else y_lo for y in block.tolist()])
+            yield (" " if i else "") + floatfmt.format_pairs(sx(xs[i:j]), sy(block))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -149,12 +162,14 @@ def line_chart(
         f'transform="rotate(-90 14 {_MARGIN_TOP + plot_h / 2:.1f})">{y_label}</text>'
     )
 
+    # the lines of the document: each polyline's points are chunks of their own
+    chunks = ["\n".join(parts) + "\n"]
+    parts = []
     for k, ((label, _, _), (xs, ys)) in enumerate(zip(series, columns)):
         color = _PALETTE[k % len(_PALETTE)]
-        points = polyline(xs, ys)
-        parts.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-        )
+        chunks.append("\n".join(parts + ['<polyline points="']))
+        chunks.extend(polyline(xs, ys))
+        parts = [f'" fill="none" stroke="{color}" stroke-width="1.5"/>']
         if label:
             ly = _MARGIN_TOP + 16 + 16 * k
             lx = _MARGIN_LEFT + plot_w - 150
@@ -165,4 +180,5 @@ def line_chart(
             parts.append(f'<text x="{lx + 28}" y="{ly}">{label}</text>')
 
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    chunks.append("\n".join(parts) + "\n")
+    return chunks

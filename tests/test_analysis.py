@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from multiport_lab import (
     solve_phi2_for_sensitivity,
     sweep,
 )
-from multiport_lab.analysis import MAX_GRID_POINTS, MODEL_NAMES, resolve_device
+from multiport_lab.analysis import MAX_GRID_POINTS, MODEL_NAMES, SweepCurve, resolve_device
 from multiport_lab.cli import _phi2_grid_values
 from multiport_lab.closure import CompiledClosure
 from multiport_lab.netlist import compile_netlist
@@ -220,6 +221,15 @@ def test_grid_spec_rejects_degenerate():
         GridSpec(1.0, 1.0, 8).values()
 
 
+def test_grid_spec_refuses_an_overflowing_span():
+    # linspace used to overflow with numpy RuntimeWarnings before the sweep
+    # refused the grid of nans
+    for start, stop in [(-1e308, 1e308), (-math.inf, 0.0), (0.0, math.inf)]:
+        with pytest.raises(ValidationError, match="overflows"):
+            GridSpec(start, stop, 3).checked()
+    assert GridSpec(-8e307, 8e307, 3).checked().values()[1] == 0.0
+
+
 def test_grid_spec_refuses_oversized_counts_before_allocating():
     assert GridSpec(0.0, 1.0, 2 ** 19).values().size == 2 ** 19  # the dense sweeps
     for count in (MAX_GRID_POINTS + 1, 10 ** 12):
@@ -232,6 +242,32 @@ def test_sweep_energy_conservation_and_order():
     assert len(curve.phi1) == 257
     assert np.all(np.diff(curve.phi1) > 0)
     assert np.max(np.abs(curve.R + curve.T - 1.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("phi1, R, message", [
+    ([0.0, 1.0, 1.0], [0.5] * 3, "strictly increasing"),
+    ([0.0, 2.0, 1.0], [0.5] * 3, "strictly increasing"),
+    ([0.0, 1.0, 2.0], [0.5, 0.5, 0.5 + 1e-9], r"R \+ T deviates from 1 by 1\.000e-09"),
+    ([0.0, 1.0], [0.5] * 3, "share one length"),
+])
+def test_sweep_curve_refuses_broken_invariants(phi1, R, message):
+    with pytest.raises(ValidationError, match=message):
+        SweepCurve("d", 0.0, np.array(phi1), np.array(R), np.full(3, 0.5), np.zeros(3))
+
+
+def test_sweep_memory_is_its_four_columns():
+    # A 2^17-point michelson sweep is four 1 MiB columns.  Copying R and T
+    # and validating with full-length temporaries peaked at 8 MiB of traced
+    # memory; without them at 5 MiB: the columns and one scratch column.
+    grid = GridSpec(0.0, TWO_PI, 1 << 17)
+    tracemalloc.start()
+    try:
+        curve = sweep("michelson", 0.7, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert curve.T.nbytes == 2**20
+    assert peak < 6 * 2**20
 
 
 def test_sweep_slope_column_tracks_transmission():

@@ -8,6 +8,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -16,12 +17,12 @@ import pytest
 CMD = [sys.executable, "-m", "multiport_lab"]
 
 
-def run(*args, env_extra=None, cwd=None):
+def run(*args, env_extra=None, cwd=None, timeout=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        CMD + list(args), capture_output=True, text=True, env=env, cwd=cwd
+        CMD + list(args), capture_output=True, text=True, env=env, cwd=cwd, timeout=timeout
     )
 
 
@@ -121,6 +122,30 @@ def test_sweep_svg_written(tmp_path):
     body = svg.read_text()
     assert body.startswith("<svg")
     assert "polyline" in body
+
+
+@pytest.mark.parametrize("grid, ticks", [("1e16:1e16+2:2", 1), ("1e17:1e17+100:3", 5)])
+def test_sweep_svg_far_from_zero_ends_with_ticks_on_the_axis(grid, ticks, tmp_path):
+    # 1e16: the x-tick loop stalled once step fell below half an ulp of t,
+    # a hang; 1e17: about 6,260 tick labels ran past the axis.  The timeout
+    # is short because the stalled loop grows a list without bound.
+    svg = tmp_path / "far.svg"
+    res = run("sweep", "--device", "michelson", "--phi2", "0.5", "--phi1-grid", grid,
+              "--out", str(tmp_path / "far.csv"), "--svg", str(svg), timeout=10)
+    assert (res.returncode, res.stderr) == (0, "")
+    body = svg.read_text(encoding="utf-8")
+    x_ticks = [float(x) for x in re.findall(r'<text x="(-?[\d.]+)" y="412"', body)]
+    assert len(x_ticks) == ticks
+    assert all(64.0 <= x <= 704.0 for x in x_ticks)
+    assert len(set(x_ticks)) == ticks
+
+
+def test_sweep_overflowing_grid_is_one_error_line():
+    # linspace used to print five numpy RuntimeWarnings before the error
+    res = run("sweep", "--device", "michelson", "--phi2", "0.5", "--phi1-grid=-1e308:1e308:3")
+    assert res.returncode == 1
+    assert res.stderr == ("error: grid span stop - start overflows, "
+                          "got [-1e+308, 1e+308]\n")
 
 
 def test_sensitivity_csv_dominance(tmp_path):
