@@ -196,7 +196,8 @@ class GridSpec(NamedTuple):
 class SweepCurve:
     """Transmission curve at fixed phi2: parallel arrays over the phi1 grid.
 
-    Invariants (checked): phi1 strictly increasing, R + T = 1 within 1e-10.
+    Invariants (checked): phi1 strictly increasing, R + T = 1 within 1e-10;
+    so phi1, R and T hold no NaN.
     """
 
     device_id: str
@@ -215,13 +216,13 @@ class SweepCurve:
         if any(getattr(self, name).shape != (n,) for name in ("R", "T", "dT_dphi1")):
             raise ValidationError("sweep arrays must share one length")
         # no full-length temporaries but one scratch column: grids reach
-        # MAX_GRID_POINTS
-        if np.any(self.phi1[1:] <= self.phi1[:-1]):
+        # MAX_GRID_POINTS; the tests are negated so that a NaN fails them
+        if not np.all(self.phi1[1:] > self.phi1[:-1]):
             raise ValidationError("sweep grid must be strictly increasing in phi1")
         scratch = np.add(self.R, self.T)
         scratch -= 1.0
         worst = float(np.max(np.abs(scratch, out=scratch)))
-        if worst > 1e-10:
+        if not worst <= 1e-10:
             raise ValidationError(f"R + T deviates from 1 by {worst:.3e}")
 
 

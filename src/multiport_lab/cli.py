@@ -22,9 +22,10 @@ CSV output is locale-independent and deterministic: '.' decimals, '\\n' line
 endings, and floats from a vectorized shortest round-trip formatter
 (`floatfmt`), byte-identical to Python's repr; identical invocations produce
 byte-identical files.  CSVs are written in blocks of rows, so memory does not
-grow with the file; SVGs are written in chunks of polyline points, so the
-document is never held, or encoded, as one string.  A device file that cannot
-be read, or an output file that cannot be written, exits 1.
+grow with the file.  SVG polylines keep the first, last, lowest and highest
+sample of each pixel column (`svg`), so a dense sweep's chart stays a few
+thousand points.  A device file that cannot be read, or an output file that
+cannot be written, exits 1.
 """
 
 from __future__ import annotations
@@ -271,7 +272,7 @@ def cmd_sweep(args, tol: float) -> int:
             x_label="phi1 (rad)", y_label="T",
             title=f"transmission at phi2={phi2:.6g}",
         )
-        _write(args.svg, chart)
+        _write(args.svg, [chart])
     return EXIT_OK
 
 
@@ -311,7 +312,7 @@ def cmd_sensitivity(args, tol: float) -> int:
             x_label="phi2 (rad)", y_label="max |dT/dphi1|",
             title="maximum sensitivity", log_y=True,
         )
-        _write(args.svg, chart)
+        _write(args.svg, [chart])
     return EXIT_OK
 
 

@@ -1,6 +1,5 @@
-"""Float64 values as text, byte-identical to Python's own formatting, for
-whole arrays at once: CSV rows in ``repr`` (`format_rows`) and SVG polyline
-points in ``"%.2f"`` (`format_pairs`).
+"""Float64 values as CSV text, byte-identical to Python's ``repr``, for
+whole arrays at once (`format_rows`).
 
 ``repr(float)`` is the shortest decimal that reads back as the same double,
 the nearest such decimal when several have that length (ties to an even last
@@ -18,18 +17,10 @@ integer arithmetic, in two steps:
   the output bytes from that row.  Unused template slots gather a zero byte,
   and the zero bytes are dropped.
 
-`format_pairs` writes ``(x, y)`` pairs as ``" ".join("%.2f,%.2f" % p)``
-does.  A double is ``m * 2**-s`` with ``m < 2**53``, so ``100 * m`` fits a
-``uint64`` and the hundredths ``round-half-even(100 * m / 2**s)`` are exact
-from a shift, the remainder and a tie test.  The same quads and
-gather-then-drop-zeros layout place them, with one template per pair of
-integer-digit counts.  Values the quads do not cover (non-finite ones and
-those of 10**8 or more) are written by ``"%.2f"`` one by one.
-
 Every integer operand is an explicit ``np.uint64``/``np.int64`` array or
 scalar: numpy < 2 promotes ``uint64`` mixed with a Python int or an ``int64``
 to float64, which would lose bits.  The tables are built on first use, so
-commands that write no CSV or SVG do not pay for them.
+commands that write no CSV do not pay for them.
 """
 
 from __future__ import annotations
@@ -124,68 +115,6 @@ def format_rows(table) -> str:
     base = np.arange(0, row.size, _ROW, dtype=np.intp)[:, None]
     out = np.take(row.ravel(), t.templates[key] + base)
     return out[out != 0].tobytes().decode("ascii")
-
-
-# format_pairs' source row, 16 bytes per value: a zero byte, the sign (a
-# zero byte if positive), '.', the separator, 8 integer digits, then the
-# hundredths as the last two digits of a quad.
-_P_SIGN, _P_DOT, _P_SEP, _P_INT, _P_FRAC = 1, 2, 3, 4, 14
-_P_ROW = 16
-#: integer digits the quads cover: values of 10**8 or more are written apart
-_P_DIGITS = 8
-#: output slots per value: sign, integer digits, '.', 2 digits, separator
-_P_WIDTH = 13
-
-
-def format_pairs(xs, ys) -> str:
-    """The points of the equal-length float64 `xs` and `ys` as
-    ``" ".join("%.2f,%.2f" % p for p in zip(xs, ys))``."""
-    values = np.stack([np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)],
-                      axis=1)
-    if not values.size:
-        return ""
-    t = _tables()
-    bits = values.view(_U)
-    biased = (bits >> _U(52)) & _U(0x7FF)
-    m = bits & _U((1 << 52) - 1)
-    m = np.where(biased == _U(0), m, m | _U(1 << 52))
-    # |value| = m * 2**-s; from s = 64 on there are no hundredths to keep,
-    # and below s = 1 the value is far above 10**8
-    s = np.clip(_I(1075) - np.maximum(biased.astype(_I), _I(1)), _I(1), _I(63)).astype(_U)
-    scaled = m * _U(100)
-    q = scaled >> s
-    rem = scaled - (q << s)
-    half = _U(1) << (s - _U(1))
-    q = q + ((rem > half) | ((rem == half) & ((q & _U(1)) == _U(1)))).astype(_U)
-    # non-finite values have s = 1 and m >= 2**52, so q is far above 10**10
-    far = q >= _U(10**(_P_DIGITS + 2))
-    q[far] = _U(0)
-
-    whole = q // _U(100)
-    high = whole // _U(10**4)
-    src = np.empty(values.shape + (_P_ROW // 4,), dtype=np.uint32)
-    src[..., 0] = t.pair_heads[(bits >> _U(63)).astype(np.intp), np.arange(2)]
-    src[..., 1] = t.quads[high]
-    src[..., 2] = t.quads[whole - high * _U(10**4)]
-    src[..., 3] = t.quads[q - whole * _U(100)]
-    ndig = np.searchsorted(t.pow10[1:_P_DIGITS + 1], whole, side="right") + 1
-    ndig[far] = 0
-    key = ndig[:, 0] * (_P_DIGITS + 1) + ndig[:, 1]
-
-    base = np.arange(0, src.nbytes, 2 * _P_ROW, dtype=np.intp)[:, None]
-    out = np.take(src.view(np.uint8).ravel(), t.pair_templates[key] + base)
-    keep = out != 0
-    text = out[keep][:-1].tobytes().decode("ascii")  # no ' ' after the last pair
-    if not far.any():
-        return text
-    # a value written apart goes just before its separator
-    at = np.cumsum(np.count_nonzero(keep.reshape(-1, _P_WIDTH), axis=1)) - 1
-    pieces, done = [], 0
-    for i in np.flatnonzero(far).tolist():
-        pieces += [text[done:at[i]], "%.2f" % values.flat[i]]
-        done = at[i]
-    pieces.append(text[done:])
-    return "".join(pieces)
 
 
 def _shortest(frac, biased, g_hi, g_lo):
@@ -303,12 +232,6 @@ class _Tables:
         self.tail_nl = np.frombuffer(_TAIL.replace(b"?", b"\n"), dtype=_U)[0]
         self.templates = np.array([_template(key) for key in range(_KEY_NAN + 1)],
                                   dtype=np.uint8)
-        # format_pairs: the first 4 bytes of a value's source row by [sign, column]
-        self.pair_heads = np.frombuffer(b"\0\0.,\0\0. \0-.,\0-. ",
-                                        dtype=np.uint32).reshape(2, 2)
-        self.pair_templates = np.array(
-            [_pair_template(nx, 0) + _pair_template(ny, _P_ROW)
-             for nx in range(_P_DIGITS + 1) for ny in range(_P_DIGITS + 1)], dtype=np.uint8)
 
 
 def _template(key: int) -> list:
@@ -333,17 +256,6 @@ def _template(key: int) -> list:
                _KEY_NAN: [_LN, _LA, _LN]}[key]
     out.append(_SEP)
     return out + [_PAD] * (_WIDTH - len(out))
-
-
-def _pair_template(ndig: int, at: int) -> list:
-    """format_pairs' source-row offsets for a value at byte `at` of its
-    pair's row with `ndig` integer digits, or 0 for one written apart (its
-    separator alone), padded to _P_WIDTH with a zero byte's offset."""
-    out = [at + _P_SEP]
-    if ndig:
-        digits = list(range(at + _P_INT + _P_DIGITS - ndig, at + _P_INT + _P_DIGITS))
-        out = [at + _P_SIGN] + digits + [at + _P_DOT, at + _P_FRAC, at + _P_FRAC + 1] + out
-    return out + [_PAD] * (_P_WIDTH - len(out))
 
 
 @functools.cache

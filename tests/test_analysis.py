@@ -255,6 +255,16 @@ def test_sweep_curve_refuses_broken_invariants(phi1, R, message):
         SweepCurve("d", 0.0, np.array(phi1), np.array(R), np.full(3, 0.5), np.zeros(3))
 
 
+@pytest.mark.parametrize("columns", [("phi1",), ("R",), ("T",), ("phi1", "R", "T")])
+def test_sweep_curve_refuses_nan(columns):
+    # every comparison with NaN is False, so NaN once passed both checks
+    arrays = {"phi1": np.array([0.0, 1.0, 2.0]), "R": np.full(3, 0.5), "T": np.full(3, 0.5)}
+    for name in columns:
+        arrays[name][1] = np.nan
+    with pytest.raises(ValidationError):
+        SweepCurve("d", 0.0, arrays["phi1"], arrays["R"], arrays["T"], np.zeros(3))
+
+
 def test_sweep_memory_is_its_four_columns():
     # A 2^17-point michelson sweep is four 1 MiB columns.  Copying R and T
     # and validating with full-length temporaries peaked at 8 MiB of traced
