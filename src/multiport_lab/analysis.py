@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -56,9 +56,12 @@ BISECT_TOL = 1e-9
 ZOOM_PITCH = 1e-9
 #: slopes below this are indistinguishable from evaluation roundoff
 SLOPE_NOISE_FLOOR = 1e-9
-#: largest grid `GridSpec` builds (2^22): a sweep holds several float
-#: arrays of this length, about 32 MiB each
+#: largest grid `GridSpec` builds (2^22): `sweep` holds four float64
+#: columns of this length, 32 MiB each; `sweep_blocks` one block at a time
 MAX_GRID_POINTS = 2 ** 22
+#: samples per block of `sweep_blocks`: the chart's `svg._POINTS_PER_BLOCK`,
+#: so a chart folded in block by block keeps the samples of whole arrays
+SWEEP_BLOCK = 4096
 
 
 # --- device models ---------------------------------------------------------
@@ -189,7 +192,23 @@ class GridSpec(NamedTuple):
 
     def values(self) -> np.ndarray:
         """The grid's points; refuses a bad grid before allocating it."""
-        return np.linspace(self.start, self.stop, self.checked().count)
+        return self.checked().block(0, self.count)
+
+    def block(self, i: int, j: int) -> np.ndarray:
+        """Points i to j - 1 of a checked grid, bit for bit those of
+        np.linspace(start, stop, count): its arithmetic on that slice."""
+        x = np.arange(i, j, dtype=np.float64)
+        delta = self.stop - self.start
+        step = delta / (self.count - 1)
+        if step == 0.0:  # linspace's branch for a span of subnormals
+            x /= self.count - 1
+            x *= delta
+        else:
+            x *= step
+        x += self.start
+        if j == self.count:
+            x[-1] = self.stop
+        return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,22 +283,37 @@ def slope(device: DeviceLike, phi1: float, phi2: float) -> float:
 
 # --- sweeps ----------------------------------------------------------------
 
-def sweep(device: DeviceLike, phi2: float, grid: GridSpec) -> SweepCurve:
-    """Evaluate R, T, dT/dphi1 over a phi1 grid at fixed phi2."""
+def sweep_blocks(device: DeviceLike, phi2: float, grid: GridSpec) -> Iterator[SweepCurve]:
+    """R, T, dT/dphi1 over a phi1 grid at fixed phi2, as consecutive
+    `SweepCurve`s of `SWEEP_BLOCK` samples, each evaluated and checked when
+    it is asked for, so memory stays one block's.  phi1 must also increase
+    strictly from each block into the next (same message)."""
     model = resolve_device(device)
-    phi1 = grid.values()
-    if model.curve is not None:
-        R, T, dT = model.curve(phi1, phi2)
-    else:
-        # slope first: on 2^19-point grids this order measured about 15 MB
-        # less peak RSS than the reverse
-        dT = model.dT_dphi1(phi1, phi2)
-        R, T = model.probabilities(phi1, phi2)
-    # a device with no phi1 dependence may give R and T unbroadcast
-    R, T = (x if np.shape(x) == phi1.shape else np.broadcast_to(x, phi1.shape).copy()
-            for x in (R, T))
-    return SweepCurve(device_id=model.device_id, phi2=float(phi2), phi1=phi1, R=R, T=T,
-                      dT_dphi1=dT)
+    count = grid.checked().count
+    last = -math.inf
+    for i in range(0, count, SWEEP_BLOCK):
+        phi1 = grid.block(i, min(i + SWEEP_BLOCK, count))
+        if model.curve is not None:
+            R, T, dT = model.curve(phi1, phi2)
+        else:
+            dT = model.dT_dphi1(phi1, phi2)
+            R, T = model.probabilities(phi1, phi2)
+        if not phi1[0] > last:
+            raise ValidationError("sweep grid must be strictly increasing in phi1")
+        last = phi1[-1]
+        # a device with no phi1 dependence may give R and T unbroadcast
+        yield SweepCurve(model.device_id, float(phi2), phi1, np.broadcast_to(R, phi1.shape),
+                         np.broadcast_to(T, phi1.shape), dT)
+
+
+def sweep(device: DeviceLike, phi2: float, grid: GridSpec) -> SweepCurve:
+    """Evaluate R, T, dT/dphi1 over a phi1 grid at fixed phi2: the blocks of
+    `sweep_blocks`, gathered into whole columns."""
+    model = resolve_device(device)
+    columns = np.empty((4, grid.checked().count))
+    for at, block in zip(range(0, grid.count, SWEEP_BLOCK), sweep_blocks(model, phi2, grid)):
+        columns[:, at:at + SWEEP_BLOCK] = (block.phi1, block.R, block.T, block.dT_dphi1)
+    return SweepCurve(model.device_id, float(phi2), *columns)
 
 
 # --- resonances ------------------------------------------------------------

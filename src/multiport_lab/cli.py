@@ -24,15 +24,20 @@ endings, and floats from a vectorized shortest round-trip formatter
 byte-identical files.  CSVs are written in blocks of rows, so memory does not
 grow with the file.  SVG polylines keep the first, last, lowest and highest
 sample of each pixel column (`svg`), so a dense sweep's chart stays a few
-thousand points.  A device file that cannot be read, or an output file that
-cannot be written, exits 1.
+thousand points.  sweep streams its grid in blocks (`analysis.sweep_blocks`),
+so its memory does not grow with the grid either.  A device file that cannot
+be read, or an output file that cannot be written, exits 1.  A sweep failing
+in a later block exits as one failing up front and removes its partial --out
+if that is a regular file; rows already sent to stdout stay.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
+import stat
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -197,8 +202,10 @@ def _fmt(x: float) -> str:
 
 def _write(path: Optional[str], chunks) -> None:
     """Write the strings `chunks` in turn to `path`, or to stdout if None.
-    A file that cannot be opened or written is a ValidationError; a reader
-    of stdout that stops early (`| head`) ends the stdout output quietly."""
+    A file that cannot be opened or written is a ValidationError, and a
+    file left partial by any error is removed if it is a regular one.  A
+    reader of stdout that stops early (`| head`) ends the stdout output
+    quietly; the rest of `chunks` is still produced, unwritten."""
     if path is None:
         try:
             for chunk in chunks:
@@ -206,28 +213,42 @@ def _write(path: Optional[str], chunks) -> None:
             sys.stdout.flush()
         except BrokenPipeError:
             _silence_stdout()
+            for _ in chunks:  # e.g. a sweep's later blocks, for its --svg
+                pass
         return
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+        fh = open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
+    try:
+        with fh:
+            for chunk in chunks:
+                fh.write(chunk)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            if stat.S_ISREG(os.lstat(path).st_mode):  # never /dev/null or a FIFO
+                os.unlink(path)
+        if isinstance(exc, OSError):
+            raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise
+
+
+def _csv(header: str, tables):
+    """The CSV text of `header` and the rows of each 2-D float table in
+    `tables`, one chunk per table; each value is written as its shortest
+    round-trip repr (`floatfmt`)."""
+    yield header + "\n"
+    for table in tables:
+        yield floatfmt.format_rows(table)
 
 
 def _write_csv(path: Optional[str], header: str, columns) -> None:
     """Write `header` and the rows of the equal-length float `columns`,
-    CSV_BLOCK_ROWS rows at a time, so memory does not grow with the file.
-    Each value is written as its shortest round-trip repr (`floatfmt`)."""
+    CSV_BLOCK_ROWS rows at a time, so memory does not grow with the file."""
     columns = [np.asarray(c, dtype=np.float64) for c in columns]
-
-    def blocks():
-        yield header + "\n"
-        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-            block = [c[start:start + CSV_BLOCK_ROWS] for c in columns]
-            yield floatfmt.format_rows(np.stack(block, axis=1))
-
-    _write(path, blocks())
+    tables = (np.stack([c[i:i + CSV_BLOCK_ROWS] for c in columns], axis=1)
+              for i in range(0, len(columns[0]), CSV_BLOCK_ROWS))
+    _write(path, _csv(header, tables))
 
 
 def _silence_stdout() -> None:
@@ -264,13 +285,21 @@ def cmd_sweep(args, tol: float) -> int:
     model = _device_model(args.device, tol)
     phi2 = _angle(args.phi2, args.degrees)
     grid = _parse_grid(args.phi1_grid, args.degrees)
-    curve = analysis.sweep(model, phi2, grid)
-    _write_csv(args.out, SWEEP_CSV_HEADER, (curve.phi1, curve.R, curve.T, curve.dT_dphi1))
+    kept = []  # each block's M4 samples, over the grid's x range
+
+    def tables():
+        for block in analysis.sweep_blocks(model, phi2, grid):
+            if args.svg:
+                kept.append(svg.m4(block.phi1, block.T, grid.start, grid.stop))
+            yield np.stack((block.phi1, block.R, block.T, block.dT_dphi1), axis=1)
+
+    _write(args.out, _csv(SWEEP_CSV_HEADER, tables()))
     if args.svg:
+        phi1, T = (np.concatenate(c) for c in zip(*kept))
         chart = svg.line_chart(
-            [(f"T ({curve.device_id})", curve.phi1, curve.T)],
+            [(f"T ({model.device_id})", phi1, T)],
             x_label="phi1 (rad)", y_label="T",
-            title=f"transmission at phi2={phi2:.6g}",
+            title=f"transmission at phi2={phi2:.6g}", reduced=True,
         )
         _write(args.svg, [chart])
     return EXIT_OK

@@ -3,9 +3,10 @@
 Good enough to eyeball a transmission curve or a sensitivity profile; CSVs
 remain the machine-readable output.  A polyline keeps, of each run of
 samples in one pixel column, the first, last, lowest and highest (M4,
-`_m4`), which draws the same line at the chart's size: a series with at
+`m4`), which draws the same line at the chart's size: a series with at
 most 2 samples in every such run keeps every point, and a dense sweep
-draws a few thousand points instead of every sample.
+draws a few thousand points instead of every sample.  `m4` needs only the
+x range, so a stream can be reduced block by block and drawn at the end.
 """
 
 from __future__ import annotations
@@ -22,30 +23,53 @@ _MARGIN_RIGHT = 16
 _MARGIN_TOP = 24
 _MARGIN_BOTTOM = 46
 
-#: samples reduced per step (`_m4`): one block of a dense series at a time
+#: samples reduced per step (`m4`): one block of a dense series at a time
 #: keeps the reduction's temporaries small next to the series itself
 _POINTS_PER_BLOCK = 4096
 
 
-def _m4(cols: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Indices, increasing, of the samples that M4 keeps of `ys`: for each
-    run of consecutive samples in one pixel column (equal `cols`), its
-    first and last sample and the first of its lowest and of its highest.
-    These draw the same raster line as the whole run (U. Jugel et al.,
-    "M4: A Visualization-Oriented Time Series Data Aggregation", PVLDB
-    7(10), 2014)."""
-    n = len(ys)
-    starts = np.flatnonzero(np.concatenate(([True], cols[1:] != cols[:-1])))
-    lengths = np.diff(np.append(starts, n))
-    # a mask, not np.unique: that imports numpy.ma on first use, which
-    # raised a dense sweep's peak RSS by about 0.5 MB
-    keep = np.zeros(n, dtype=bool)
-    keep[starts] = True
-    keep[starts + lengths - 1] = True
-    for extreme in (np.minimum, np.maximum):
-        hit = ys == np.repeat(extreme.reduceat(ys, starts), lengths)
-        keep[np.minimum.reduceat(np.where(hit, np.arange(n), n), starts)] = True
-    return np.flatnonzero(keep)
+def _sx(x, x_lo: float, x_hi: float, width: int):
+    """Horizontal pixel position of x on a chart `width` wide."""
+    return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * (width - _MARGIN_LEFT - _MARGIN_RIGHT)
+
+
+def m4(xs, ys, x_lo: float, x_hi: float, *, width: int = 720) -> tuple[np.ndarray, np.ndarray]:
+    """The samples of (xs, ys) that a chart `width` wide over [x_lo, x_hi]
+    draws.  Of each run of consecutive samples in one pixel column (within
+    a block of `_POINTS_PER_BLOCK`), M4 keeps the first, the last and the
+    first lowest and highest, which draw the same raster line as the run
+    (U. Jugel et al., "M4: A Visualization-Oriented Time Series Data
+    Aggregation", PVLDB 7(10), 2014).  On increasing xs the kept samples
+    have the series' x and y range, though not its smallest positive y."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    n = min(len(xs), len(ys))
+    kept = [np.zeros(0, dtype=np.intp)]
+    for i in range(0, n, _POINTS_PER_BLOCK):
+        j = min(i + _POINTS_PER_BLOCK, n)
+        y, cols = ys[i:j], np.floor(_sx(xs[i:j], x_lo, x_hi, width))
+        starts = np.flatnonzero(np.concatenate(([True], cols[1:] != cols[:-1])))
+        lengths = np.diff(np.append(starts, j - i))
+        # a mask, not np.unique: that imports numpy.ma on first use, which
+        # raised a dense sweep's peak RSS by about 0.5 MB
+        keep = np.zeros(j - i, dtype=bool)
+        keep[starts] = keep[starts + lengths - 1] = True
+        for extreme in (np.minimum, np.maximum):
+            hit = y == np.repeat(extreme.reduceat(y, starts), lengths)
+            keep[np.minimum.reduceat(np.where(hit, np.arange(j - i), j - i), starts)] = True
+        kept.append(i + np.flatnonzero(keep))
+    at = np.concatenate(kept)
+    return xs[at], ys[at]
+
+
+def _range(label: str, a: np.ndarray, log: bool = False) -> tuple[float, float]:
+    """(min, max) of a nonempty series, refusing NaN and infinities; on a
+    log scale -inf is drawn at the floor, with zeros and negatives."""
+    lo, hi = float(a.min()), float(a.max())  # min propagates a NaN
+    if math.isnan(lo):
+        raise ValueError(f"series {label!r} holds NaN")
+    if hi == math.inf or (lo == -math.inf and not log):
+        raise ValueError(f"series {label!r} holds an infinity")
+    return lo, hi
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -85,59 +109,52 @@ def line_chart(
     width: int = 720,
     height: int = 440,
     log_y: bool = False,
+    reduced: bool = False,
 ) -> str:
     """Render (label, xs, ys) series to an SVG document; xs and ys may be
-    sequences or arrays of floats, and must hold no NaN."""
-    columns = [(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
-               for _, xs, ys in series]
-    for (label, _, _), (xs, ys) in zip(series, columns):
-        # min propagates a NaN anywhere in the array
-        if any(a.size and math.isnan(a.min()) for a in (xs, ys)):
-            raise ValueError(f"series {label!r} holds NaN")
-    xs_all = [xs for xs, _ in columns if xs.size]
-    ys_all = [ys for _, ys in columns if ys.size]
-    if not xs_all:
+    sequences or arrays of finite floats (`_range`).  Each polyline draws
+    `m4` of its series, or with `reduced` the series as given, which must
+    then be `m4`'s output over its own x range, of increasing xs (as a
+    stream reduced block by block gives)."""
+    columns, x_ranges, y_ranges = [], [], []
+    for label, xs, ys in series:
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        columns.append((xs, ys))
+        x_ranges += [_range(label, xs)] if xs.size else []
+        y_ranges += [_range(label, ys, log_y)] if ys.size else []
+    if not x_ranges:
         raise ValueError("nothing to plot")
 
-    x_lo = float(np.min([xs.min() for xs in xs_all]))
-    x_hi = float(np.max([xs.max() for xs in xs_all]))
+    x_lo = min(lo for lo, _ in x_ranges)
+    x_hi = max(hi for _, hi in x_ranges)
+    y_lo = min(lo for lo, _ in y_ranges)
+    y_hi = max(hi for _, hi in y_ranges)
     if log_y:
-        positive = [p for p in (ys[ys > 0] for ys in ys_all) if p.size]
-        floor = float(np.min([p.min() for p in positive])) if positive else 1e-12
+        # the smallest positive y, without copying the positive values
+        floor = min(float(np.min(ys, where=ys > 0, initial=math.inf)) for _, ys in columns)
+        floor = floor if floor < math.inf else 1e-12
         y_lo = math.log10(floor)
-        y_hi = math.log10(max(float(np.max([ys.max() for ys in ys_all])), floor * 10))
-    else:
-        y_lo = float(np.min([ys.min() for ys in ys_all]))
-        y_hi = float(np.max([ys.max() for ys in ys_all]))
+        y_hi = math.log10(max(y_hi, floor * 10))
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
+    if not reduced:
+        columns = [m4(xs, ys, x_lo, x_hi, width=width) for xs, ys in columns]
 
     plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
-
-    def sx(x):
-        return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
 
     def sy(y):  # y already on the log scale for log_y
         return _MARGIN_TOP + (1.0 - (y - y_lo) / (y_hi - y_lo)) * plot_h
 
     def polyline(xs, ys):
-        """The points attribute: the M4 points of each block (`_m4`), sx
-        and sy elementwise (the same doubles as on scalars), log10 per
-        value as math does it."""
-        n = min(len(xs), len(ys))
-        points = []
-        for i in range(0, n, _POINTS_PER_BLOCK):
-            j = min(i + _POINTS_PER_BLOCK, n)
-            px = sx(xs[i:j])
-            keep = _m4(np.floor(px), ys[i:j])
-            py = ys[i:j][keep]
-            if log_y:
-                py = np.array([math.log10(y) if y > 0 else y_lo for y in py.tolist()])
-            points += ["%.2f,%.2f" % p for p in zip(px[keep].tolist(), sy(py).tolist())]
-        return " ".join(points)
+        """The points attribute: _sx and sy elementwise (the same doubles as
+        on scalars), log10 per value as math does it."""
+        if log_y:
+            ys = np.array([math.log10(y) if y > 0 else y_lo for y in ys.tolist()])
+        px = _sx(xs, x_lo, x_hi, width)
+        return " ".join("%.2f,%.2f" % p for p in zip(px.tolist(), sy(ys).tolist()))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -157,7 +174,7 @@ def line_chart(
     )
 
     for t in _ticks(x_lo, x_hi):
-        px = sx(t)
+        px = _sx(t, x_lo, x_hi, width)
         parts.append(
             f'<line x1="{px:.2f}" y1="{_MARGIN_TOP + plot_h}" x2="{px:.2f}" '
             f'y2="{_MARGIN_TOP + plot_h + 4}" stroke="#444"/>'

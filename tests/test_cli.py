@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 
@@ -374,6 +375,36 @@ def test_stdout_closed_early_ends_quietly(tmp_path):
     assert proc.wait() == 0
     assert stderr == b""
     assert "</svg>" in chart.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("args, code, message", [
+    # phi1 stops increasing at sample 8192, 2^53, in the third block
+    (["--device", "michelson", "--phi2", "1",
+      "--phi1-grid", "9007199254732800:9007199254749184:16385"],
+     1, "sweep grid must be strictly increasing in phi1"),
+    # the last point, 2*pi at phi2 = 0, is the double resonance
+    (["--device", "grover-michelson", "--phi2", "0", "--phi1-grid", "1:2*pi:5000"],
+     2, "degenerate phase point (phi1, phi2) = (0, 0) mod 2pi in evaluation grid"),
+])
+def test_sweep_failing_in_a_later_block_leaves_no_out_file(args, code, message, tmp_path):
+    # the first blocks' rows were written before the failure
+    out = tmp_path / "curve.csv"
+    res = run("sweep", *args, "--out", str(out))
+    assert res.returncode == code
+    assert res.stderr == f"error: {message}\n"
+    assert not out.exists()
+    fifo = tmp_path / "fifo"  # a special file is never removed
+    os.mkfifo(fifo)
+    reader = subprocess.Popen(["wc", "-c", str(fifo)], stdout=subprocess.PIPE, text=True)
+    try:
+        res = run("sweep", *args, "--out", str(fifo), timeout=60)
+        written = int(reader.communicate(timeout=60)[0].split()[0])
+    finally:
+        reader.kill()
+        reader.communicate()
+    assert written > 4096
+    assert res.returncode == code
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
 
 
 @pytest.mark.parametrize("command", [
