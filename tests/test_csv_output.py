@@ -1,6 +1,8 @@
 """The streamed CSV writer: shortest round-trip repr of every value, the same
 bytes to a file and to stdout, and memory that does not grow with the file."""
 
+import contextlib
+import io
 import math
 import tracemalloc
 
@@ -32,6 +34,9 @@ def test_streamed_csv_is_the_repr_of_every_value(rows, tmp_path, capsys):
     assert path.read_bytes() == expected.encode("ascii")
     cli._write_csv(None, HEADER, columns)
     assert capsys.readouterr().out == expected
+    with contextlib.redirect_stdout(io.StringIO()) as text:  # a stdout without bytes
+        cli._write_csv(None, HEADER, columns)
+    assert text.getvalue() == expected
 
 
 def test_csv_without_rows_is_the_header_line(tmp_path):
