@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -126,6 +127,39 @@ def test_threads_formatting_at_once_each_get_their_own_bytes():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
+
+
+def repr_shape(value):
+    """(decpt, digits) of repr(value) = 0.d1d2...d_digits * 10**decpt."""
+    t = Decimal(repr(value)).normalize().as_tuple()
+    return len(t.digits) + t.exponent, len(t.digits)
+
+
+def layout_values():
+    """A double for each decimal point place decpt from -5 to 18 (across
+    repr's switches to scientific form below -3 and above 16) and each count
+    of significant digits from 1 to 17, with both signs; exponents of two and
+    three digits; zeros, infinities and nan."""
+    values = []
+    for decpt in range(-5, 19):
+        for digits in range(1, 18):
+            value = next(v for head in ("3141592653589793", "2718281828459045")
+                         for tail in "123456789"
+                         for v in [float(f"0.{head[:digits - 1]}{tail}e{decpt}")]
+                         if repr_shape(v) == (decpt, digits))
+            values += [value, -value]
+    return values + [5e-324, 1e-100, 1e-05, 1e16, 1e22, 1e300, 0.0, -0.0,
+                     math.inf, -math.inf, math.nan]
+
+
+def test_every_layout_in_every_column_is_written_as_repr():
+    # each value in each column of 1- to 4-column rows, so that every
+    # layout meets both separators at every length
+    values = np.array(layout_values())
+    assert len(values) == 24 * 17 * 2 + 11
+    for cols in (1, 2, 3, 4):
+        table = np.stack([np.roll(values, j) for j in range(cols)], axis=1)
+        assert floatfmt.format_rows(table) == reference(table), cols
 
 
 def test_formatting_a_block_allocates_little_beyond_its_text():
