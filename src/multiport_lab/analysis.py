@@ -444,6 +444,11 @@ def find_bias_point(device: DeviceLike, phi2: float, target_T: float,
     """phi1 with T(phi1, phi2) = target_T, preferring the steep monotone
     segment through the max-|slope| point (the natural readout region).
 
+    The crossing is read off the search grid, with T's refined extremes
+    added: the samples through the steepest point along which T keeps its
+    slope sign there (a tie too) are the segment.  The step where they cross
+    the target is bisected, else the grid's first crossing.
+
     Raises ValidationError for a NaN target, and TargetUnreachableError when
     the target lies outside the curve's range at this phi2.
     """
@@ -472,25 +477,14 @@ def find_bias_point(device: DeviceLike, phi2: float, target_T: float,
         )
     goal = min(max(target, t_lo), t_hi)
 
-    # March away from the steepest point along its monotone segment until T
-    # crosses the goal, then bisect inside the crossing step.  Offsets
-    # double from 1e-9 rad, so 33 steps span the period.
-    steps = np.concatenate(([0.0], GOLDEN_TOL * 2.0 ** np.arange(33)))
-    for direction in (1.0, -1.0):
-        x = x_star + direction * steps
-        T = model.probabilities(x, phi2).T
-        s = model.dT_dphi1(x, phi2)
-        crossed = (T[:-1] - goal) * (T[1:] - goal) <= 0.0
-        stop = np.nonzero(crossed | (s[:-1] * s[1:] < 0.0))[0]  # or left the segment
-        if stop.size and crossed[stop[0]]:
-            k = int(stop[0])
-            break
-    else:
-        # The segment misses the goal, or a doubling step jumped over its
-        # crossing: take the grid's first.
-        x = grid
-        k = int(np.nonzero((T_grid[:-1] - goal) * (T_grid[1:] - goal) <= 0.0)[0][0])
-    phi1 = _bisect_T(model, phi2, goal, float(x[k]), float(x[k + 1]), tol) % TWO_PI
+    # the segment runs between the steps against x_star's slope (turns)
+    i = int(np.searchsorted(grid, x_star))
+    turns = np.nonzero(np.diff(T_grid) * model.dT_dphi1(x_star, phi2) < 0.0)[0]
+    start, stop = turns[turns < i].max(initial=-1) + 1, turns[turns >= i].min(initial=grid.size)
+    crossed = np.nonzero((T_grid[:-1] - goal) * (T_grid[1:] - goal) <= 0.0)[0]
+    on_run = crossed[(crossed >= start) & (crossed < stop)]
+    k = int(on_run[0] if on_run.size else crossed[0])
+    phi1 = _bisect_T(model, phi2, goal, float(grid[k]), float(grid[k + 1]), tol) % TWO_PI
     return BiasPoint(phi1, float(phi2), float(model.probabilities(phi1, phi2).T),
                      float(model.dT_dphi1(phi1, phi2)))
 
@@ -502,14 +496,17 @@ def perturbation_response(device: DeviceLike, bias: BiasPoint,
     saturated reports whether dT/dphi1 changes sign anywhere on the traversed
     interval, sampled on a grid that resolves every scale around the
     resonances: if it does, the operating point crossed an extremum and the
-    readout no longer maps |delta T| back to a unique delta.
+    readout no longer maps |delta T| back to a unique delta.  T repeats with
+    the pole's period, so at most one period from the bias point is sampled.
     """
     if delta == 0.0:
         return PerturbationResponse(delta_T=0.0, saturated=False)
     model = resolve_device(device)
     T0 = float(model.probabilities(bias.phi1, bias.phi2).T)
     T1 = float(model.probabilities(bias.phi1 + delta, bias.phi2).T)
-    lo, hi = sorted((bias.phi1, bias.phi1 + delta))
+    pole = None if model.closure is None else model.closure().phi1_pole({"phi2": float(bias.phi2)})
+    span = delta if pole is None else math.copysign(min(abs(delta), pole[2]), delta)
+    lo, hi = sorted((bias.phi1, bias.phi1 + span))
     grid = _search_grid(lo, hi, _resonances(model, bias.phi2, lo, hi))
     s = model.dT_dphi1(grid, bias.phi2)
     saturated = bool(np.any(s > SLOPE_NOISE_FLOOR) and np.any(s < -SLOPE_NOISE_FLOOR))

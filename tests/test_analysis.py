@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from multiport_lab import (
 from multiport_lab.analysis import MAX_GRID_POINTS, MODEL_NAMES, SweepCurve, resolve_device
 from multiport_lab.cli import _phi2_grid_values
 from multiport_lab.closure import CompiledClosure
+from multiport_lab.devices import Probabilities
 from multiport_lab.netlist import compile_netlist
 
 TWO_PI = 2.0 * math.pi
@@ -477,14 +479,55 @@ def test_bias_reaches_targets_near_the_resonance_peak(phi2, target):
 
 
 @pytest.mark.parametrize("phi2, target, phi1", [
-    (0.1, 0.99, 6.182170928828558),
-    (0.01, 0.999999, 6.273185207158713),
+    # each crossing bisected on the closed form between the argmax and the
+    # peak (T = 1 at 2*pi - phi2); the mirror crossings across the peak,
+    # 6.182170928828558 and 6.273185207158713, lie on the other flank
+    (0.1, 0.99, 6.1841795319701935),
+    (0.01, 0.999999, 6.273185407177803),
 ])
 def test_bias_on_the_steep_flank_keeps_its_crossing(phi2, target, phi1):
     bp = find_bias_point("grover-michelson", phi2, target)
     assert bp.T == pytest.approx(target, abs=1e-9)
     # both bisections stop within 1e-9 in T of the same crossing
     assert bp.phi1 == pytest.approx(phi1, abs=2e-9 / abs(bp.slope))
+    x_star, _ = max_sensitivity("grover-michelson", phi2)
+    assert np.sign(bp.slope) == np.sign(slope("grover-michelson", x_star, phi2))
+
+
+@pytest.mark.parametrize("netlist, count, phi2_low", [(None, 60, 1e-5), ("grover-michelson", 16, 1e-3)])
+def test_bias_lands_on_the_steepest_points_flank(netlist, count, phi2_low):
+    # Each flank of grover-michelson is monotone from T = 0 at phi1 = 0 to
+    # T = 1 at 2*pi - phi2, so the crossing on the steepest point's segment
+    # has the slope's sign there.  phi2 is drawn log-uniform up to pi; half
+    # the targets are moderate, half 1 - 10^-k next to the peak.
+    device = "grover-michelson" if netlist is None else \
+        netlist_device(parse_netlist((DOCS / f"{netlist}.json").read_text()))
+    rng = np.random.default_rng(17)
+    wrong = []
+    for i in range(count):
+        phi2 = math.exp(rng.uniform(math.log(phi2_low), math.log(math.pi)))
+        target = rng.uniform(0.01, 0.99) if i % 2 else 1.0 - 10.0 ** -int(rng.integers(1, 7))
+        bp = find_bias_point(device, phi2, target)
+        assert bp.T == pytest.approx(target, abs=max(1e-9, 4.0 * abs(bp.slope) * math.ulp(bp.phi1)))
+        x_star, _ = max_sensitivity(device, phi2)
+        if np.sign(bp.slope) != np.sign(slope(device, x_star, phi2)):
+            wrong.append((phi2, target, bp.phi1))
+    assert not wrong
+
+
+def test_bias_run_carries_on_through_ties():
+    # T read to three decimals is flat over the grid's finest steps around
+    # the steepest point: zero differences inside its flank's run
+    gm = resolve_device("grover-michelson")
+
+    def probabilities(phi1, phi2):
+        T = np.round(gm.probabilities(phi1, phi2).T, 3)
+        return Probabilities(R=1.0 - T, T=T)
+
+    bp = find_bias_point(dataclasses.replace(gm, probabilities=probabilities), 0.1, 0.99)
+    x_star, _ = max_sensitivity(gm, 0.1)
+    assert slope(gm, x_star, 0.1) < 0.0
+    assert bp.T == 0.99 and bp.slope < 0.0
 
 
 def test_bias_target_above_range():
@@ -536,6 +579,17 @@ def test_delta_across_the_transmission_zero_saturates():
     # and the slope changes sign there over a span of only about phi2
     bp = find_bias_point("grover-michelson", 1e-5, 0.5)
     assert perturbation_response("grover-michelson", bp, 1.5).saturated
+
+
+def test_delta_of_many_periods_samples_one():
+    # T repeats with the pole's period: 1.6e6 periods cost no more than one
+    bp = find_bias_point("grover-michelson", math.pi / 8, 0.5)
+    start = time.perf_counter()
+    resp = perturbation_response("grover-michelson", bp, 1e7)
+    assert time.perf_counter() - start < 1.0
+    assert resp.saturated
+    gm = resolve_device("grover-michelson")
+    assert resp.delta_T == float(gm.probabilities(bp.phi1 + 1e7, bp.phi2).T) - bp.T
 
 
 def test_negative_delta_scans_backwards():

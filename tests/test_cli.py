@@ -194,6 +194,16 @@ def test_bias_report_and_perturbations():
     assert table[2].split(",")[2] == "true"
 
 
+def test_bias_delta_of_any_size_reports_one_row():
+    # the saturation scan samples at most one period of the resonance
+    res = run("bias", "--device", "grover-michelson", "--phi2", "pi/8", "--target", "0.5",
+              "--delta", "1e300", timeout=60)
+    assert res.returncode == 0
+    table = res.stdout[res.stdout.index("delta,dT,saturated"):].strip().splitlines()
+    assert len(table) == 2
+    assert table[1].startswith("1e+300,") and table[1].endswith(",true")
+
+
 def test_degrees_flag_converts_inputs():
     res = run(
         "sweep",
