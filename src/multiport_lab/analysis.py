@@ -7,26 +7,27 @@ grows without bound as phi2 approaches a multiple of 2*pi, while the plain
 michelson stays pinned at 1/2; `solve_phi2_for_sensitivity` inverts that
 relationship to pick an operating phi2 for a requested sensitivity.
 
-Every device carries its exact dT/dphi1: the closed forms differentiate
-their formulas, and a netlist device differentiates the closure itself with
-the resolvent identity, so no derivative here is a finite difference.
-
-Every device also carries its closure (a closed form that of its built-in
-netlist), whose pole places each resonance in phi1 and gives its half-width
-w (~ phi2**2 for the grover-michelson): the searches resolve every scale
-around it on top of one fixed grid.  Without a pole the grid searches alone.
+Every device is built from its netlist and carries its closure, whose pole
+places each resonance in phi1 and gives its half-width w (~ phi2**2 for the
+grover-michelson): the searches resolve every scale around it on top of one
+fixed grid.  Without a pole the grid searches alone.  Every device also
+carries its exact dT/dphi1: a netlist device differentiates the closure
+itself with the resolvent identity, and a closed form (`devices`) attached
+to a built-in netlist as its accelerator differentiates its formula, so no
+derivative here is a finite difference.
 
 Everything here is deterministic: fixed grids, fixed iteration counts, no
-randomness.  Devices are referenced by registry name ("michelson",
-"bs-cavity", "grover-single-seal", "grover-michelson"), by a parsed
-`Netlist`, or by an explicit `DeviceModel`.
+randomness.  Devices are referenced by built-in netlist name
+(`netlist.BUILTIN_NETLIST_NAMES`: "michelson", "bs-cavity",
+"grover-single-seal" and "grover-michelson", which have closed forms, and
+"fusion"), by a parsed `Netlist`, or by an explicit `DeviceModel`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -68,36 +69,28 @@ SWEEP_BLOCK = 4096
 
 @dataclass(frozen=True)
 class DeviceModel:
-    """Evaluatable device: vectorized (phi1, phi2) -> (R, T), plus the exact
-    derivative dT/dphi1 with the same signature.  closure, when set, returns
-    the device's `CompiledClosure`, off whose pole the searches read phi1's
-    resonances; curve, when set, gives R, T and dT/dphi1 stacked on a
-    leading axis from one evaluation.
+    """Evaluatable device built from its netlist: vectorized (phi1, phi2) ->
+    (R, T), plus the exact derivative dT/dphi1 with the same signature.
+    closure returns the netlist's `CompiledClosure`, off whose pole the
+    searches read phi1's resonances; curve, when set, gives R, T and
+    dT/dphi1 stacked on a leading axis from one evaluation.
     """
 
     device_id: str
+    netlist: Netlist
     probabilities: Callable[..., Probabilities]
     dT_dphi1: Callable[..., np.ndarray]
-    closure: Optional[Callable[[], CompiledClosure]] = None
+    closure: Callable[[], CompiledClosure]
     curve: Optional[Callable[..., np.ndarray]] = None
 
 
-@functools.cache
-def _builtin_closure(name: str) -> CompiledClosure:
-    # compiled on first use: importing the package parses no netlist
-    return compile_netlist(builtin_netlist(name))
-
-
-#: closed forms, each attached to the built-in netlist of its name
-_MODELS = {name: DeviceModel(name, *forms, functools.partial(_builtin_closure, name))
-           for name, forms in {
+#: closed forms, each an accelerator of the built-in netlist of its name
+_CLOSED_FORMS = {
     "michelson": (michelson_probabilities, michelson_dT_dphi1),
     "bs-cavity": (bs_cavity_probabilities, bs_cavity_dT_dphi1),
     "grover-single-seal": (grover_single_seal_probabilities, grover_single_seal_dT_dphi1),
     "grover-michelson": (grover_michelson_probabilities, grover_michelson_dT_dphi1),
-}.items()}
-
-MODEL_NAMES = tuple(sorted(_MODELS))
+}
 
 DeviceLike = Union[str, Netlist, DeviceModel]
 
@@ -108,20 +101,21 @@ def netlist_device(netlist: Netlist, device_id: str = "netlist") -> DeviceModel:
     Input enters the first open port; R is the probability of exiting back out
     of it and T the total probability over the remaining open ports.  phi1 and
     phi2 are bound to any matching free symbols in the netlist's phases.  The
-    netlist is compiled once and reduced once per phi2
+    netlist is compiled on first use, once, and reduced once per phi2
     (`CompiledClosure.reduction`).  A phi1 grid then closes just the loops
     that carry phi1, `Reduction.stack_size` samples at a time so that each
     stack's r-sized arrays stay within `closure.STACK_BYTES` (64 KiB).  One
     pass gives R, T and the exact dT/dphi1 = 2 Re sum_{i>=1} conj(s_i0)
     ds_i0, and a point gets the same bits alone as inside a grid.
     """
-    closure = compile_netlist(netlist)
+    compiled = functools.cache(functools.partial(compile_netlist, netlist))
 
     def evaluate(phi1, phi2, slope: bool = True) -> np.ndarray:
         """R, T and (if slope) dT/dphi1 stacked on a leading axis."""
         grid = np.asarray(phi1, dtype=np.float64)
         flat = grid.reshape(-1)
         out = np.empty((3 if slope else 2, flat.size))
+        closure = compiled()
         reduced = closure.reduction({"phi2": float(phi2)})
         stack = reduced.stack_size
         for at in range(0, flat.size, stack):
@@ -144,24 +138,30 @@ def netlist_device(netlist: Netlist, device_id: str = "netlist") -> DeviceModel:
         R, T = evaluate(phi1, phi2, False)
         return Probabilities(R=R[()], T=T[()])
 
-    return DeviceModel(device_id=device_id, probabilities=probabilities,
+    return DeviceModel(device_id=device_id, netlist=netlist, probabilities=probabilities,
                        dT_dphi1=lambda phi1, phi2: evaluate(phi1, phi2)[2][()],
-                       closure=lambda: closure, curve=evaluate)
+                       closure=compiled, curve=evaluate)
+
+
+@functools.cache
+def _builtin_device(name: str) -> DeviceModel:
+    # built on first use: importing the package parses no netlist
+    model = netlist_device(builtin_netlist(name), name)
+    if name not in _CLOSED_FORMS:
+        return model
+    probabilities, dT_dphi1 = _CLOSED_FORMS[name]
+    return replace(model, probabilities=probabilities, dT_dphi1=dT_dphi1, curve=None)
 
 
 def resolve_device(device: DeviceLike) -> DeviceModel:
-    """Registry name, Netlist, or DeviceModel -> DeviceModel."""
+    """Built-in name, Netlist, or DeviceModel -> DeviceModel.  A built-in
+    evaluates its closed form where `devices` has one, else its netlist."""
     if isinstance(device, DeviceModel):
         return device
     if isinstance(device, Netlist):
         return netlist_device(device)
     if isinstance(device, str):
-        try:
-            return _MODELS[device]
-        except KeyError:
-            raise ValidationError(
-                f"unknown device {device!r}; registered: {', '.join(MODEL_NAMES)}"
-            ) from None
+        return _builtin_device(device)
     raise ValidationError(f"cannot interpret {device!r} as a device")
 
 
@@ -322,8 +322,8 @@ def _resonances(model: DeviceModel, phi2: float, lo: float,
                 hi: float) -> list[tuple[float, float]]:
     """(centre, half-width) of the model's pole resonances in phi1, from the
     last centre at or below lo to the first at or above hi."""
-    pole = None if model.closure is None else model.closure().phi1_pole({"phi2": float(phi2)})
-    if pole is None:
+    pole = model.closure().phi1_pole({"phi2": float(phi2)})
+    if pole is None or pole[0] is None:
         return []
     c, w, p = pole
     return [(c + k * p, w) for k in range(math.floor((lo - c) / p), math.ceil((hi - c) / p) + 1)]
@@ -415,19 +415,18 @@ def sensitivity_profile(device: DeviceLike,
 
 # --- bias calibration ------------------------------------------------------
 
-def _bisect_T(model: DeviceModel, phi2: float, target: float,
-              a: float, b: float, tol: float) -> float:
+def _bisect_T(model: DeviceModel, phi2: float, target: float, a: float, b: float) -> float:
     """Bisection for T(phi1) = target on [a, b], where T(a), T(b) straddle it.
 
-    `tol` bounds the residual in T, not the interval width; iteration stops
-    early only when the bracket collapses to float resolution.
+    `BISECT_TOL` bounds the residual in T, not the interval width; iteration
+    stops early only when the bracket collapses to float resolution.
     """
     Ta = float(model.probabilities(a, phi2).T)
     sign = 1.0 if Ta <= target else -1.0
     mid = 0.5 * (a + b)
     while True:
         Tm = float(model.probabilities(mid, phi2).T)
-        if abs(Tm - target) <= tol:
+        if abs(Tm - target) <= BISECT_TOL:
             return mid
         if sign * (Tm - target) <= 0.0:
             a = mid
@@ -439,8 +438,7 @@ def _bisect_T(model: DeviceModel, phi2: float, target: float,
         mid = nxt
 
 
-def find_bias_point(device: DeviceLike, phi2: float, target_T: float,
-                    *, tol: float = BISECT_TOL) -> BiasPoint:
+def find_bias_point(device: DeviceLike, phi2: float, target_T: float) -> BiasPoint:
     """phi1 with T(phi1, phi2) = target_T, preferring the steep monotone
     segment through the max-|slope| point (the natural readout region).
 
@@ -470,7 +468,7 @@ def find_bias_point(device: DeviceLike, phi2: float, target_T: float,
         at = np.searchsorted(grid, x)
         grid, T_grid = np.insert(grid, at, x), np.insert(T_grid, at, sign * sT)
     t_lo, t_hi = float(np.min(T_grid)), float(np.max(T_grid))
-    if not (t_lo - tol <= target <= t_hi + tol):
+    if not (t_lo - BISECT_TOL <= target <= t_hi + BISECT_TOL):
         raise TargetUnreachableError(
             f"target T={target!r} outside attainable range "
             f"[{t_lo:.6g}, {t_hi:.6g}] at phi2={phi2!r}"
@@ -484,7 +482,7 @@ def find_bias_point(device: DeviceLike, phi2: float, target_T: float,
     crossed = np.nonzero((T_grid[:-1] - goal) * (T_grid[1:] - goal) <= 0.0)[0]
     on_run = crossed[(crossed >= start) & (crossed < stop)]
     k = int(on_run[0] if on_run.size else crossed[0])
-    phi1 = _bisect_T(model, phi2, goal, float(grid[k]), float(grid[k + 1]), tol) % TWO_PI
+    phi1 = _bisect_T(model, phi2, goal, float(grid[k]), float(grid[k + 1])) % TWO_PI
     return BiasPoint(phi1, float(phi2), float(model.probabilities(phi1, phi2).T),
                      float(model.dT_dphi1(phi1, phi2)))
 
@@ -497,14 +495,15 @@ def perturbation_response(device: DeviceLike, bias: BiasPoint,
     interval, sampled on a grid that resolves every scale around the
     resonances: if it does, the operating point crossed an extremum and the
     readout no longer maps |delta T| back to a unique delta.  T repeats with
-    the pole's period, so at most one period from the bias point is sampled.
+    the period of its one phi1 seal (`phi1_pole`), resonant or not, so at
+    most one period from the bias point is sampled.
     """
     if delta == 0.0:
         return PerturbationResponse(delta_T=0.0, saturated=False)
     model = resolve_device(device)
     T0 = float(model.probabilities(bias.phi1, bias.phi2).T)
     T1 = float(model.probabilities(bias.phi1 + delta, bias.phi2).T)
-    pole = None if model.closure is None else model.closure().phi1_pole({"phi2": float(bias.phi2)})
+    pole = model.closure().phi1_pole({"phi2": float(bias.phi2)})
     span = delta if pole is None else math.copysign(min(abs(delta), pole[2]), delta)
     lo, hi = sorted((bias.phi1, bias.phi1 + span))
     grid = _search_grid(lo, hi, _resonances(model, bias.phi2, lo, hi))
@@ -515,19 +514,18 @@ def perturbation_response(device: DeviceLike, bias: BiasPoint,
 
 # --- sensitivity-targeted tuning -------------------------------------------
 
-def solve_phi2_for_sensitivity(target_slope: float, *, tol: float = 1e-6,
-                               phi2_floor: float = 1e-8) -> float:
+def solve_phi2_for_sensitivity(target_slope: float) -> float:
     """Largest phi2 in (0, pi] whose grover-michelson max sensitivity meets
     target_slope.
 
     The maximum sensitivity decreases from unbounded (phi2 -> 0) to its
     minimum at phi2 = pi, so any positive target is reachable: if the pi
     value already suffices, pi is returned; otherwise bisection brackets the
-    crossing to within `tol`, floored at `phi2_floor`.
+    crossing to within 1e-6, floored at 1e-8.
     """
     if not target_slope > 0.0:
         raise ValidationError(f"target slope must be positive, got {target_slope!r}")
-    gm = _MODELS["grover-michelson"]
+    gm = resolve_device("grover-michelson")
 
     def meets(p2: float) -> bool:
         try:
@@ -540,10 +538,10 @@ def solve_phi2_for_sensitivity(target_slope: float, *, tol: float = 1e-6,
 
     if meets(math.pi):
         return math.pi
-    lo, hi = phi2_floor, math.pi
+    lo, hi = 1e-8, math.pi
     if not meets(lo):
         return lo
-    while hi - lo > tol:
+    while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
         if meets(mid):
             lo = mid

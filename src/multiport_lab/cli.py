@@ -8,8 +8,10 @@ Commands:
 
 Devices are built-in names (michelson, bs-cavity, grover-single-seal,
 grover-michelson, fusion) or paths to netlist JSON files; a built-in name
-wins over a file of the same name in every command.  sweep and bias use the
-closed form of a built-in that has one.
+wins over a file of the same name in every command.  Each resolves to one
+`analysis.DeviceModel` built from its netlist: smatrix closes that netlist,
+and sweep and bias evaluate it, through the closed form of a built-in that
+has one.
 Phase-valued options accept expressions like ``pi/8`` or ``2*pi/3``.
 
 Exit codes: 0 success; 1 parse or validation failure; 2 singular closure
@@ -58,12 +60,7 @@ from .errors import (
     TargetUnreachableError,
     ValidationError,
 )
-from .netlist import (
-    BUILTIN_NETLIST_NAMES,
-    builtin_netlist,
-    close_netlist,
-    parse_netlist,
-)
+from .netlist import BUILTIN_NETLIST_NAMES, close_netlist, parse_netlist
 from .phase_expr import evaluate_phase
 
 TWO_PI = 2.0 * math.pi
@@ -75,8 +72,6 @@ EXIT_UNREACHABLE = 3
 
 SWEEP_CSV_HEADER = "phi1,R,T,dT_dphi1"
 SENSITIVITY_CSV_HEADER = "phi2,max_slope_gm,max_slope_michelson,argmax_phi1"
-#: rows formatted and written per step of `_write_csv`
-CSV_BLOCK_ROWS = 1024
 
 
 class _Parser(argparse.ArgumentParser):
@@ -169,10 +164,10 @@ def _parse_grid(spec: str, degrees: bool) -> GridSpec:
     return GridSpec(start=start, stop=stop, count=count).checked()
 
 
-def _resolve_device(name: str, tol: float):
-    """--device value -> (device id, Netlist): built-in name first, then file."""
+def _device(name: str, tol: float) -> analysis.DeviceModel:
+    """--device value -> DeviceModel: built-in name first, then file."""
     if name in BUILTIN_NETLIST_NAMES:
-        return name, builtin_netlist(name)
+        return analysis.resolve_device(name)
     path = Path(name)
     if path.exists():
         try:
@@ -180,19 +175,11 @@ def _resolve_device(name: str, tol: float):
         except (OSError, UnicodeDecodeError) as exc:
             reason = getattr(exc, "strerror", None) or exc
             raise ValidationError(f"cannot read {name}: {reason}") from None
-        return path.stem, parse_netlist(text, unitarity_tol=tol)
+        return analysis.netlist_device(parse_netlist(text, unitarity_tol=tol), path.stem)
     raise ValidationError(
         f"unknown device {name!r}: not a builtin netlist "
         f"({', '.join(BUILTIN_NETLIST_NAMES)}) or file"
     )
-
-
-def _device_model(name: str, tol: float):
-    """Closed form for a registry name, else the resolved netlist's model."""
-    if name in analysis.MODEL_NAMES:
-        return analysis.resolve_device(name)
-    device_id, netlist = _resolve_device(name, tol)
-    return analysis.netlist_device(netlist, device_id=device_id)
 
 
 def _fmt(x: float) -> str:
@@ -245,12 +232,8 @@ def _csv(header: str, tables):
 
 
 def _write_csv(path: Optional[str], header: str, columns) -> None:
-    """Write `header` and the rows of the equal-length float `columns`,
-    CSV_BLOCK_ROWS rows at a time, so memory does not grow with the file."""
-    columns = [np.asarray(c, dtype=np.float64) for c in columns]
-    tables = (np.stack([c[i:i + CSV_BLOCK_ROWS] for c in columns], axis=1)
-              for i in range(0, len(columns[0]), CSV_BLOCK_ROWS))
-    _write(path, _csv(header, tables))
+    """Write `header` and the rows of the equal-length float `columns`."""
+    _write(path, _csv(header, [np.stack(columns, axis=1)]))
 
 
 def _silence_stdout() -> None:
@@ -268,7 +251,7 @@ def _silence_stdout() -> None:
 # --- commands --------------------------------------------------------------
 
 def cmd_smatrix(args, tol: float) -> int:
-    _, netlist = _resolve_device(args.device, tol)
+    netlist = _device(args.device, tol).netlist
     bindings = {
         "phi1": _angle(args.phi1, args.degrees),
         "phi2": _angle(args.phi2, args.degrees),
@@ -284,7 +267,7 @@ def cmd_smatrix(args, tol: float) -> int:
 
 
 def cmd_sweep(args, tol: float) -> int:
-    model = _device_model(args.device, tol)
+    model = _device(args.device, tol)
     phi2 = _angle(args.phi2, args.degrees)
     grid = _parse_grid(args.phi1_grid, args.degrees)
     kept = []  # each block's M4 samples, over the grid's x range
@@ -348,18 +331,19 @@ def cmd_sensitivity(args, tol: float) -> int:
 
 
 def cmd_bias(args, tol: float) -> int:
-    model = _device_model(args.device, tol)
+    model = _device(args.device, tol)
     phi2 = _angle(args.phi2, args.degrees)
+    deltas = None if args.delta is None else [_angle(part.strip(), args.degrees)
+                                              for part in args.delta.split(",")]
     bias = analysis.find_bias_point(model, phi2, args.target)
     print(f"device: {model.device_id}")
     print(f"phi2 = {_fmt(bias.phi2)}")
     print(f"phi1 = {_fmt(bias.phi1)}")
     print(f"T = {_fmt(bias.T)}")
     print(f"slope = {_fmt(bias.slope)}")
-    if args.delta is not None:
+    if deltas is not None:
         print("delta,dT,saturated")
-        for part in args.delta.split(","):
-            delta = _angle(part.strip(), args.degrees)
+        for delta in deltas:
             resp = analysis.perturbation_response(model, bias, delta)
             flag = "true" if resp.saturated else "false"
             print(f"{_fmt(delta)},{_fmt(resp.delta_T)},{flag}")

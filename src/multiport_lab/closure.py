@@ -218,14 +218,16 @@ class CompiledClosure:
             self._reduced = key, Reduction(self, lambda p: p.evaluate(bindings))
         return self._reduced[1]
 
-    def phi1_pole(self, bindings: Mapping[str, float]) -> Optional[tuple[float, float, float]]:
+    def phi1_pole(self, bindings: Mapping[str, float]
+                  ) -> Optional[tuple[Optional[float], Optional[float], float]]:
         """(centre, half-width, period) in phi1 of the resonance of the one
         seal whose phase a*phi1 + b carries phi1, at `bindings` of the other
         symbols; None if phi1 enters a link, several entries or a phase not
-        affine in it.  The reduction leaves 1 - w z with w = sign M_kk, zero
-        at z* = 1/w: centre (-arg w - b)/a, half-width |log|w||/|a| (the
-        Fabry-Perot linewidth).  |w| = 1 is a bound state the open ports
-        never see.
+        affine in it, or if a = 0.  The reduction leaves 1 - w z with
+        w = sign M_kk, zero at z* = 1/w: centre (-arg w - b)/a, half-width
+        |log|w||/|a| (the Fabry-Perot linewidth).  Centre and half-width are
+        None if |w| is 0 (no cavity) or 1 (a bound state, so M_ok = 0 and T
+        is flat); T still repeats with the period 2*pi/|a|.
         """
         if len(self._carriers) != 1:
             return None
@@ -236,9 +238,12 @@ class CompiledClosure:
         at0 = {**bindings, "phi1": 0.0}
         a, b = phase.derivative("phi1", at0), phase.evaluate(at0)
         w = sign * complex(M_kk[0, 0]) if M_kk.shape == (1, 1) else 0.0
-        if a == 0.0 or abs(w) in (0.0, 1.0):
+        if a == 0.0:
             return None
-        return (-cmath.phase(w) - b) / a, abs(math.log(abs(w)) / a), 2.0 * math.pi / abs(a)
+        period = 2.0 * math.pi / abs(a)
+        if abs(w) in (0.0, 1.0):
+            return None, None, period
+        return (-cmath.phase(w) - b) / a, abs(math.log(abs(w)) / a), period
 
     def _block(self, f):
         """A = I - S_cc F for the feedback entries f."""

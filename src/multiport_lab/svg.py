@@ -18,6 +18,8 @@ import numpy as np
 
 _PALETTE = ("#1f6fb2", "#c44e52", "#55a868", "#8172b2")
 
+#: chart size in pixels; its plot, inside the margins, is 640 x 370
+_WIDTH, _HEIGHT = 720, 440
 _MARGIN_LEFT = 64
 _MARGIN_RIGHT = 16
 _MARGIN_TOP = 24
@@ -28,16 +30,16 @@ _MARGIN_BOTTOM = 46
 _POINTS_PER_BLOCK = 4096
 
 
-def _sx(x, x_lo: float, x_hi: float, width: int):
-    """Horizontal pixel position of x on a chart `width` wide."""
-    return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * (width - _MARGIN_LEFT - _MARGIN_RIGHT)
+def _sx(x, x_lo: float, x_hi: float):
+    """Horizontal pixel position of x on the chart."""
+    return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * (_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT)
 
 
-def m4(xs, ys, x_lo: float, x_hi: float, *, width: int = 720) -> tuple[np.ndarray, np.ndarray]:
-    """The samples of (xs, ys) that a chart `width` wide over [x_lo, x_hi]
-    draws.  Of each run of consecutive samples in one pixel column (within
-    a block of `_POINTS_PER_BLOCK`), M4 keeps the first, the last and the
-    first lowest and highest, which draw the same raster line as the run
+def m4(xs, ys, x_lo: float, x_hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The samples of (xs, ys) that a chart over [x_lo, x_hi] draws.  Of
+    each run of consecutive samples in one pixel column (within a block of
+    `_POINTS_PER_BLOCK`), M4 keeps the first, the last and the first
+    lowest and highest, which draw the same raster line as the run
     (U. Jugel et al., "M4: A Visualization-Oriented Time Series Data
     Aggregation", PVLDB 7(10), 2014).  On increasing xs the kept samples
     have the series' x and y range, though not its smallest positive y."""
@@ -46,7 +48,7 @@ def m4(xs, ys, x_lo: float, x_hi: float, *, width: int = 720) -> tuple[np.ndarra
     kept = [np.zeros(0, dtype=np.intp)]
     for i in range(0, n, _POINTS_PER_BLOCK):
         j = min(i + _POINTS_PER_BLOCK, n)
-        y, cols = ys[i:j], np.floor(_sx(xs[i:j], x_lo, x_hi, width))
+        y, cols = ys[i:j], np.floor(_sx(xs[i:j], x_lo, x_hi))
         starts = np.flatnonzero(np.concatenate(([True], cols[1:] != cols[:-1])))
         lengths = np.diff(np.append(starts, j - i))
         # a mask, not np.unique: that imports numpy.ma on first use, which
@@ -106,8 +108,6 @@ def line_chart(
     y_label: str,
     title: str = "",
     *,
-    width: int = 720,
-    height: int = 440,
     log_y: bool = False,
     reduced: bool = False,
 ) -> str:
@@ -140,10 +140,10 @@ def line_chart(
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
     if not reduced:
-        columns = [m4(xs, ys, x_lo, x_hi, width=width) for xs, ys in columns]
+        columns = [m4(xs, ys, x_lo, x_hi) for xs, ys in columns]
 
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def sy(y):  # y already on the log scale for log_y
         return _MARGIN_TOP + (1.0 - (y - y_lo) / (y_hi - y_lo)) * plot_h
@@ -153,17 +153,17 @@ def line_chart(
         on scalars), log10 per value as math does it."""
         if log_y:
             ys = np.array([math.log10(y) if y > 0 else y_lo for y in ys.tolist()])
-        px = _sx(xs, x_lo, x_hi, width)
+        px = _sx(xs, x_lo, x_hi)
         return " ".join("%.2f,%.2f" % p for p in zip(px.tolist(), sy(ys).tolist()))
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     if title:
         parts.append(
-            f'<text x="{width / 2:.1f}" y="16" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2:.1f}" y="16" text-anchor="middle" '
             f'font-size="14">{title}</text>'
         )
 
@@ -174,7 +174,7 @@ def line_chart(
     )
 
     for t in _ticks(x_lo, x_hi):
-        px = _sx(t, x_lo, x_hi, width)
+        px = _sx(t, x_lo, x_hi)
         parts.append(
             f'<line x1="{px:.2f}" y1="{_MARGIN_TOP + plot_h}" x2="{px:.2f}" '
             f'y2="{_MARGIN_TOP + plot_h + 4}" stroke="#444"/>'
@@ -197,7 +197,7 @@ def line_chart(
         )
 
     parts.append(
-        f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{height - 8}" '
+        f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 8}" '
         f'text-anchor="middle">{x_label}</text>'
     )
     parts.append(

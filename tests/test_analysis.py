@@ -33,11 +33,11 @@ from multiport_lab import (
     solve_phi2_for_sensitivity,
     sweep,
 )
-from multiport_lab.analysis import MAX_GRID_POINTS, MODEL_NAMES, SweepCurve, resolve_device
+from multiport_lab.analysis import _CLOSED_FORMS, MAX_GRID_POINTS, SweepCurve, resolve_device
 from multiport_lab.cli import _phi2_grid_values
 from multiport_lab.closure import CompiledClosure
 from multiport_lab.devices import Probabilities
-from multiport_lab.netlist import compile_netlist
+from multiport_lab.netlist import BUILTIN_NETLIST_NAMES, compile_netlist
 
 TWO_PI = 2.0 * math.pi
 DOCS = Path(__file__).resolve().parent.parent / "docs" / "netlists"
@@ -46,20 +46,43 @@ DOCS = Path(__file__).resolve().parent.parent / "docs" / "netlists"
 # --- device resolution -------------------------------------------------------
 
 def test_model_names_cover_the_registry():
-    assert set(MODEL_NAMES) == {
-        "michelson",
-        "bs-cavity",
-        "grover-single-seal",
-        "grover-michelson",
-    }
+    # every built-in netlist resolves to a model of that netlist; the closed
+    # forms attach to four of them
+    assert set(_CLOSED_FORMS) < set(BUILTIN_NETLIST_NAMES) == {
+        "michelson", "bs-cavity", "grover-single-seal", "grover-michelson", "fusion"}
+    for name in BUILTIN_NETLIST_NAMES:
+        model = resolve_device(name)
+        assert model.device_id == name and model.netlist == builtin_netlist(name)
+        assert resolve_device(name) is model
+        if name in _CLOSED_FORMS:
+            assert (model.probabilities, model.dT_dphi1) == _CLOSED_FORMS[name]
+            assert model.curve is None
 
 
 def test_resolve_unknown_name():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="built-ins: bs-cavity, fusion, grover-michelson"):
         resolve_device("sagnac")
 
 
-@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_fusion_resolves_to_its_netlist():
+    # no phi1 anywhere: T is the constant 3/4 of the 4-port coin
+    curve = sweep("fusion", 0.0, GridSpec(0.0, math.pi, 5))
+    assert_allclose(curve.T, 0.75, atol=1e-12)
+    assert_allclose(curve.dT_dphi1, 0.0, atol=1e-12)
+
+
+def test_a_model_compiles_its_netlist_once_on_first_use(monkeypatch):
+    compiled = []
+    monkeypatch.setattr("multiport_lab.analysis.compile_netlist",
+                        lambda net: compiled.append(net) or compile_netlist(net))
+    model = netlist_device(builtin_netlist("grover-michelson"))
+    assert compiled == []
+    find_bias_point(model, 0.3, 0.5)
+    sweep(model, 0.3, GridSpec(0.0, TWO_PI, 9))
+    assert compiled == [model.netlist] and model.closure() is model.closure()
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSED_FORMS))
 def test_netlist_device_tracks_closed_form(name):
     model = netlist_device(builtin_netlist(name), device_id=name)
     ref = resolve_device(name)
@@ -72,7 +95,7 @@ def test_netlist_device_tracks_closed_form(name):
             ref.dT_dphi1(p1, p2), rel=1e-9, abs=1e-12)
 
 
-@pytest.mark.parametrize("name", MODEL_NAMES)
+@pytest.mark.parametrize("name", sorted(_CLOSED_FORMS))
 def test_netlist_sweep_matches_closed_form(name):
     got = sweep(netlist_device(builtin_netlist(name), device_id=name), 0.7,
                 GridSpec(0.0, TWO_PI, 257))
@@ -590,6 +613,17 @@ def test_delta_of_many_periods_samples_one():
     assert resp.saturated
     gm = resolve_device("grover-michelson")
     assert resp.delta_T == float(gm.probabilities(bp.phi1 + 1e7, bp.phi2).T) - bp.T
+
+
+@pytest.mark.parametrize("periods", [1024, 2048])
+def test_delta_of_many_periods_without_a_resonance_samples_one(periods):
+    # michelson's phi1 mirror faces no cavity (|w| = 0): T still repeats
+    # with its seal's period, and a whole number of periods once aliased
+    # every sample onto one slope sign
+    bp = find_bias_point("michelson", 0.0, 0.5)
+    resp = perturbation_response("michelson", bp, periods * TWO_PI)
+    assert resp.saturated
+    assert abs(resp.delta_T) < 1e-9
 
 
 def test_negative_delta_scans_backwards():

@@ -204,6 +204,25 @@ def test_bias_delta_of_any_size_reports_one_row():
     assert table[1].startswith("1e+300,") and table[1].endswith(",true")
 
 
+@pytest.mark.parametrize("delta", ["inf", "nan", "1e309"])
+def test_bias_bad_delta_fails_before_printing(delta):
+    res = run("bias", "--device", "grover-michelson", "--phi2", "pi/8", "--target", "0.5",
+              f"--delta=0.01,{delta}")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1 and res.stderr.startswith("error:")
+
+
+def test_bias_delta_of_whole_periods_without_a_resonance_saturates():
+    # michelson has no cavity on phi1, yet T repeats with its mirror's
+    # period; a grid over 1024 periods once sampled one phase of it
+    res = run("bias", "--device", "michelson", "--phi2", "0", "--target", "0.5",
+              "--delta", "1024*2*pi,2048*2*pi")
+    assert res.returncode == 0
+    table = res.stdout[res.stdout.index("delta,dT,saturated"):].strip().splitlines()
+    assert [row.split(",")[2] for row in table[1:]] == ["true", "true"]
+
+
 def test_degrees_flag_converts_inputs():
     res = run(
         "sweep",

@@ -9,12 +9,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from multiport_lab import analysis, cli
+from multiport_lab import analysis, cli, floatfmt
 
 EDGE = [-0.0, 5e-324, 1e-05, 0.1, 2.0, 1e16, 1e22, 1 / 3, math.inf, math.nan,
         -math.inf, -1e-300, 6.283185307179586]
 HEADER = "a,b,c,d"
-BLOCK = cli.CSV_BLOCK_ROWS
+SLICE = floatfmt._SLICE_ROWS
 
 
 def reference(header, columns):
@@ -24,7 +24,9 @@ def reference(header, columns):
     )
 
 
-@pytest.mark.parametrize("rows", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+# half a slice of the formatter, either side of one slice, and past two
+@pytest.mark.parametrize("rows", [SLICE // 2 - 1, SLICE // 2, SLICE // 2 + 1,
+                                  SLICE - 1, SLICE, SLICE + 1, 2 * SLICE + 1])
 def test_streamed_csv_is_the_repr_of_every_value(rows, tmp_path, capsys):
     columns = [np.resize(np.roll(EDGE, k), rows) for k in range(3)]
     columns.append(np.resize(EDGE, rows).tolist())  # a column given as floats
@@ -47,14 +49,15 @@ def test_csv_without_rows_is_the_header_line(tmp_path):
 
 def test_csv_memory_does_not_grow_with_the_file(tmp_path):
     # A 2^17-row sweep CSV is about 10 MB.  Formatting it as one string
-    # peaked at about 36 MB of traced memory; blocks of rows at about 0.4 MB.
+    # peaked at about 36 MB of traced memory; slices of rows at about 0.4 MB
+    # beyond the 4 MiB table.
     grid = analysis.GridSpec(0.0, 2.0 * math.pi, 1 << 17)
     curve = analysis.sweep(analysis.resolve_device("grover-michelson"), 0.7, grid)
-    columns = (curve.phi1, curve.R, curve.T, curve.dT_dphi1)
+    table = np.stack((curve.phi1, curve.R, curve.T, curve.dT_dphi1), axis=1)
     path = tmp_path / "sweep.csv"
     tracemalloc.start()
     try:
-        cli._write_csv(str(path), cli.SWEEP_CSV_HEADER, columns)
+        cli._write(str(path), cli._csv(cli.SWEEP_CSV_HEADER, [table]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -13,7 +13,6 @@ import pytest
 
 from multiport_lab import cli, floatfmt
 
-BLOCK = cli.CSV_BLOCK_ROWS
 SLICE = floatfmt._SLICE_ROWS
 EDGE = [-0.0, 5e-324, 1e-05, 1e16, 1e22, math.inf, -math.inf, math.nan]
 NANS = [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
@@ -65,7 +64,8 @@ def test_rows_are_joined_by_commas_and_ended_by_newlines():
     assert floatfmt.format_rows(np.empty((0, 4))) == ""
 
 
-@pytest.mark.parametrize("rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("rows", [0, 1, SLICE // 2 - 1, SLICE // 2, SLICE // 2 + 1,
+                                  SLICE - 1, SLICE, SLICE + 1])
 def test_csv_blocks_write_the_repr_of_every_value(rows, tmp_path):
     values = np.resize(corpus(), 3 * rows).reshape(3, rows)
     path = tmp_path / "out.csv"

@@ -240,6 +240,19 @@ def test_grover_michelson_pole(phi2):
     assert period == 2.0 * math.pi
 
 
+@pytest.mark.parametrize("text, period", [
+    # michelson's phi1 mirror: the splitter sends nothing straight back (w = 0)
+    (render_netlist(builtin_netlist("michelson")), 2.0 * math.pi),
+    # a bound state: the identity returns p2 to itself (|w| = 1), so no
+    # light from p1 reaches it and T is flat
+    (json.dumps({"devices": [{"id": "m", "kind": "matrix", "matrix": [[1, 0], [0, 1]]}],
+                 "seals": [{"device": "m", "port": "p2", "phase": "phi1/2"}]}), 4.0 * math.pi),
+])
+def test_seal_without_a_resonance_keeps_its_period(text, period):
+    pole = compile_netlist(parse_netlist(text)).phi1_pole({"phi2": 0.3})
+    assert pole == (None, None, period)
+
+
 def test_unknown_builtin_name():
     with pytest.raises(ValidationError):
         builtin_netlist("mach-zehnder")
