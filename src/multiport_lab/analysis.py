@@ -18,9 +18,10 @@ derivative here is a finite difference.
 
 Everything here is deterministic: fixed grids, fixed iteration counts, no
 randomness.  Devices are referenced by built-in netlist name
-(`netlist.BUILTIN_NETLIST_NAMES`: "michelson", "bs-cavity",
-"grover-single-seal" and "grover-michelson", which have closed forms, and
-"fusion"), by a parsed `Netlist`, or by an explicit `DeviceModel`.
+(`netlist.BUILTIN_NETLIST_NAMES`: "michelson" and "grover-michelson", which
+evaluate closed forms, and "bs-cavity", "grover-single-seal" and "fusion",
+which evaluate their netlists), by a parsed `Netlist`, or by an explicit
+`DeviceModel`.
 """
 
 from __future__ import annotations
@@ -34,12 +35,8 @@ import numpy as np
 
 from .devices import (
     Probabilities,
-    bs_cavity_dT_dphi1,
-    bs_cavity_probabilities,
     grover_michelson_dT_dphi1,
     grover_michelson_probabilities,
-    grover_single_seal_dT_dphi1,
-    grover_single_seal_probabilities,
     michelson_dT_dphi1,
     michelson_probabilities,
 )
@@ -87,8 +84,6 @@ class DeviceModel:
 #: closed forms, each an accelerator of the built-in netlist of its name
 _CLOSED_FORMS = {
     "michelson": (michelson_probabilities, michelson_dT_dphi1),
-    "bs-cavity": (bs_cavity_probabilities, bs_cavity_dT_dphi1),
-    "grover-single-seal": (grover_single_seal_probabilities, grover_single_seal_dT_dphi1),
     "grover-michelson": (grover_michelson_probabilities, grover_michelson_dT_dphi1),
 }
 
@@ -495,8 +490,8 @@ def perturbation_response(device: DeviceLike, bias: BiasPoint,
     interval, sampled on a grid that resolves every scale around the
     resonances: if it does, the operating point crossed an extremum and the
     readout no longer maps |delta T| back to a unique delta.  T repeats with
-    the period of its one phi1 seal (`phi1_pole`), resonant or not, so at
-    most one period from the bias point is sampled.
+    the period of its one phi1 seal or link (`phi1_pole`), resonant or not,
+    so at most one period from the bias point is sampled.
     """
     if delta == 0.0:
         return PerturbationResponse(delta_T=0.0, saturated=False)

@@ -221,18 +221,20 @@ class CompiledClosure:
     def phi1_pole(self, bindings: Mapping[str, float]
                   ) -> Optional[tuple[Optional[float], Optional[float], float]]:
         """(centre, half-width, period) in phi1 of the resonance of the one
-        seal whose phase a*phi1 + b carries phi1, at `bindings` of the other
-        symbols; None if phi1 enters a link, several entries or a phase not
-        affine in it, or if a = 0.  The reduction leaves 1 - w z with
-        w = sign M_kk, zero at z* = 1/w: centre (-arg w - b)/a, half-width
-        |log|w||/|a| (the Fabry-Perot linewidth).  Centre and half-width are
-        None if |w| is 0 (no cavity) or 1 (a bound state, so M_ok = 0 and T
-        is flat); T still repeats with the period 2*pi/|a|.
+        seal or link whose phase a*phi1 + b carries phi1, at `bindings` of
+        the other symbols; None if phi1 enters several entries or a phase not
+        affine in it, or if a = 0.  For a seal the reduction leaves 1 - w z
+        with w = sign M_kk, zero at z* = 1/w: centre (-arg w - b)/a,
+        half-width |log|w||/|a| (the Fabry-Perot linewidth).  Centre and
+        half-width are None for a link (a 2 x 2 block), or if |w| is 0 (no
+        cavity) or 1 (a bound state, so M_ok = 0 and T is flat); T still
+        repeats with the period 2*pi/|share*a|: 2*pi/|a| for a seal, 4*pi/|a|
+        for a link, whose feedback carries exp(i*share*(a*phi1 + b)).
         """
         if len(self._carriers) != 1:
             return None
         _, sign, share, phase = self.loops[self._carriers[0]]
-        if share != 1.0 or not phase.is_affine_in("phi1"):
+        if not phase.is_affine_in("phi1"):
             return None
         M_kk = self.reduction(bindings).blocks[3]
         at0 = {**bindings, "phi1": 0.0}
@@ -240,7 +242,7 @@ class CompiledClosure:
         w = sign * complex(M_kk[0, 0]) if M_kk.shape == (1, 1) else 0.0
         if a == 0.0:
             return None
-        period = 2.0 * math.pi / abs(a)
+        period = 2.0 * math.pi / abs(share * a)
         if abs(w) in (0.0, 1.0):
             return None, None, period
         return (-cmath.phase(w) - b) / a, abs(math.log(abs(w)) / a), period
@@ -440,12 +442,19 @@ def block_diag(SA: ScatteringMatrix, SB: ScatteringMatrix) -> ScatteringMatrix:
     Labels are namespaced "A.<label>" / "B.<label>" so any two inputs compose
     without collisions.
     """
-    na, nb = SA.n_ports, SB.n_ports
-    m = np.zeros((na + nb, na + nb), dtype=np.complex128)
-    m[:na, :na] = SA.matrix
-    m[na:, na:] = SB.matrix
-    labels = tuple(f"A.{l}" for l in SA.port_labels) + tuple(f"B.{l}" for l in SB.port_labels)
-    return ScatteringMatrix(m, labels)
+    return _direct_sum([("A", SA), ("B", SB)])
+
+
+def _direct_sum(parts: Sequence[tuple[str, ScatteringMatrix]]) -> ScatteringMatrix:
+    """Direct sum of the (name, device) parts with zero cross-blocks, each
+    port labeled "<name>.<label>"."""
+    n = sum(S.n_ports for _, S in parts)
+    m = np.zeros((n, n), dtype=np.complex128)
+    at = 0
+    for _, S in parts:
+        m[at:at + S.n_ports, at:at + S.n_ports] = S.matrix
+        at += S.n_ports
+    return ScatteringMatrix(m, tuple(f"{name}.{l}" for name, S in parts for l in S.port_labels))
 
 
 def close_series_truncated(

@@ -1,14 +1,13 @@
-"""Closed-form amplitude and probability models for the named devices.
-
-These are the analytic fast paths used by sweeps; the feedback-closure engine
-(`multiport_lab.closure`) computes the same quantities from first principles
-and serves as the validation oracle for each formula here.
+"""Closed forms of the two interferometers the paper compares, each the
+accelerator of the built-in netlist of its name (`analysis`); the closure
+engine (`multiport_lab.closure`) is the validation oracle for each formula.
 
 Devices:
   * michelson            two mirrors on adjacent beam-splitter ports, no cavity
-  * bs-cavity            two mirrors on opposite beam-splitter ports (one cavity)
-  * grover-single-seal   4-port Grover coin with one sealed port (one cavity)
   * grover-michelson     4-port Grover coin with two sealed ports (two cavities)
+
+`bs_cavity_probabilities` (mirrors on opposite beam-splitter ports, one
+cavity) is a test oracle only: the bs-cavity netlist evaluates itself.
 
 Phase arguments are radians, accepted as arbitrary reals; trigonometric
 evaluation uses the raw values so derivative estimates see no branch cuts.
@@ -50,14 +49,6 @@ class TwoPortAmplitudes:
         return abs(self.t) ** 2
 
 
-class SingleSealAmplitudes(NamedTuple):
-    """Single-sealed Grover coin: reflection r plus equal transmission t into
-    each of the other open ports, normalized as |r|^2 + 2|t|^2 = 1."""
-
-    r: complex
-    t: complex
-
-
 def _phasor_minus_one(phi):
     """exp(i*phi) - 1 evaluated as 2i sin(phi/2) exp(i*phi/2), accurate for tiny phi."""
     half = 0.5 * np.asarray(phi, dtype=np.float64)
@@ -96,39 +87,6 @@ def bs_cavity_probabilities(phi1, phi2) -> Probabilities:
     s = np.asarray(phi1, dtype=np.float64) + np.asarray(phi2, dtype=np.float64)
     R = 1.0 / (5.0 - 4.0 * np.cos(s))
     return Probabilities(R=R, T=1.0 - R)
-
-
-def bs_cavity_dT_dphi1(phi1, phi2):
-    """Exact dT/dphi1 = 4 sin(phi1+phi2)/(5 - 4cos(phi1+phi2))^2."""
-    s = np.asarray(phi1, dtype=np.float64) + np.asarray(phi2, dtype=np.float64)
-    return 4.0 * np.sin(s) / (5.0 - 4.0 * np.cos(s)) ** 2
-
-
-def grover_single_seal_amplitudes(phi: float) -> SingleSealAmplitudes:
-    """4-port Grover coin with one port sealed (mirror + round-trip phase phi).
-
-    Reflection r = 1/(e^{i phi} - 2) and transmission t = 1 + r into each of
-    the other open ports; |r|^2 + 2|t|^2 = 1.  phi=0 gives a
-    3-sided mirror (r=-1), phi=pi a 3-port Grover coin (r=-1/3, t=2/3).
-    """
-    r = 1.0 / (complex(np.exp(1j * phi)) - 2.0)
-    return SingleSealAmplitudes(r=r, t=1.0 + r)
-
-
-def grover_single_seal_probabilities(phi, phi2=None) -> Probabilities:
-    """Vectorized single-seal totals: R = |r|^2, T = 1 - R = 2|t|^2.
-
-    The second argument is ignored (single-cavity device has one phase); it is
-    accepted so the function matches the two-phase sweep signature.
-    """
-    R = 1.0 / (5.0 - 4.0 * np.cos(np.asarray(phi, dtype=np.float64)))
-    return Probabilities(R=R, T=1.0 - R)
-
-
-def grover_single_seal_dT_dphi1(phi, phi2=None):
-    """Exact dT/dphi = 4 sin(phi)/(5 - 4cos(phi))^2 (second argument ignored)."""
-    p = np.asarray(phi, dtype=np.float64)
-    return 4.0 * np.sin(p) / (5.0 - 4.0 * np.cos(p)) ** 2
 
 
 def grover_michelson_amplitudes(phi1: float, phi2: float) -> TwoPortAmplitudes:

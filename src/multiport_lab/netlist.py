@@ -34,7 +34,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .closure import ClosedDevice, CompiledClosure, Termination
+from .closure import ClosedDevice, CompiledClosure, Termination, _direct_sum
 from .core import (
     DEFAULT_UNITARITY_TOL,
     ScatteringMatrix,
@@ -335,16 +335,7 @@ def device_matrix(spec: DeviceSpec) -> ScatteringMatrix:
 
 def combined_matrix(netlist: Netlist) -> ScatteringMatrix:
     """Direct sum of all devices, ports labeled '<device-id>.<port-label>'."""
-    mats = [device_matrix(d).matrix for d in netlist.devices]
-    n = sum(m.shape[0] for m in mats)
-    big = np.zeros((n, n), dtype=np.complex128)
-    at = 0
-    for m in mats:
-        k = m.shape[0]
-        big[at:at + k, at:at + k] = m
-        at += k
-    labels = tuple(f"{d.id}.{lbl}" for d in netlist.devices for lbl in d.labels)
-    return ScatteringMatrix(big, labels)
+    return _direct_sum([(d.id, device_matrix(d)) for d in netlist.devices])
 
 
 def compile_netlist(netlist: Netlist) -> CompiledClosure:

@@ -16,15 +16,11 @@ from multiport_lab import (
     Link,
     Termination,
     block_diag,
-    bs_cavity_dT_dphi1,
     bs_cavity_probabilities,
     close_network,
     grover_michelson_amplitudes,
     grover_michelson_dT_dphi1,
     grover_michelson_probabilities,
-    grover_single_seal_amplitudes,
-    grover_single_seal_dT_dphi1,
-    grover_single_seal_probabilities,
     make_beam_splitter_4port,
     make_grover_coin,
     michelson_amplitudes,
@@ -111,22 +107,12 @@ def test_bs_cavity_matches_engine():
 # --- one sealed port on the 4-port coin -------------------------------------
 
 def test_single_seal_amplitudes_match_engine():
+    # r = 1/(e^{i phi} - 2) back out of the input, t = 1 + r into each other port
     for phi in GRID:
         m = engine_two_port(make_grover_coin(4), [("p4", float(phi))])
-        a = grover_single_seal_amplitudes(float(phi))
-        assert abs(m[0, 0] - a.r) < 1e-13
-        assert abs(m[1, 0] - a.t) < 1e-13
-
-
-def test_single_seal_normalization():
-    for phi in GRID:
-        a = grover_single_seal_amplitudes(float(phi))
-        assert abs(a.r) ** 2 + 2.0 * abs(a.t) ** 2 == pytest.approx(1.0, abs=1e-13)
-
-
-def test_single_seal_probabilities_sum():
-    probs = grover_single_seal_probabilities(GRID)
-    assert_allclose(probs.R + probs.T, 1.0, atol=1e-13)
+        r = 1.0 / (np.exp(1j * phi) - 2.0)
+        assert abs(m[0, 0] - r) < 1e-13
+        assert abs(m[1, 0] - (1.0 + r)) < 1e-13
 
 
 # --- the coin Michelson ------------------------------------------------------
@@ -206,7 +192,6 @@ def fd(fn, p1, p2, h=1e-6):
     "deriv,probs",
     [
         (michelson_dT_dphi1, michelson_probabilities),
-        (bs_cavity_dT_dphi1, bs_cavity_probabilities),
         (grover_michelson_dT_dphi1, grover_michelson_probabilities),
     ],
 )
@@ -216,15 +201,6 @@ def test_analytic_slope_matches_finite_difference(deriv, probs):
         p1 = float(rng.uniform(0.2, 2 * np.pi - 0.2))
         p2 = float(rng.uniform(0.2, 2 * np.pi - 0.2))
         assert deriv(p1, p2) == pytest.approx(fd(probs, p1, p2), abs=1e-6)
-
-
-def test_single_seal_slope_matches_finite_difference():
-    rng = np.random.default_rng(6)
-    for _ in range(50):
-        phi = float(rng.uniform(0.1, 2 * np.pi - 0.1))
-        got = grover_single_seal_dT_dphi1(phi)
-        want = fd(lambda a, b: grover_single_seal_probabilities(a), phi, None)
-        assert got == pytest.approx(want, abs=1e-6)
 
 
 def test_michelson_slope_peaks_at_half():
