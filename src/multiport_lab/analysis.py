@@ -7,14 +7,15 @@ grows without bound as phi2 approaches a multiple of 2*pi, while the plain
 michelson stays pinned at 1/2; `solve_phi2_for_sensitivity` inverts that
 relationship to pick an operating phi2 for a requested sensitivity.
 
-Every device is built from its netlist and carries its closure, whose pole
-places each resonance in phi1 and gives its half-width w (~ phi2**2 for the
-grover-michelson): the searches resolve every scale around it on top of one
-fixed grid.  Without a pole the grid searches alone.  Every device also
-carries its exact dT/dphi1: a netlist device differentiates the closure
-itself with the resolvent identity, and a closed form (`devices`) attached
-to a built-in netlist as its accelerator differentiates its formula, so no
-derivative here is a finite difference.
+The searches read one cached `anatomy` of the curve per model and phi2.  Its
+closure's pole gives T's period in phi1 and places each resonance with its
+half-width w (~ phi2**2 for the grover-michelson), so the grids resolve
+every scale around it on top of one fixed grid; without a pole the grid
+searches alone.  On top come the steepest point, T's turning points over one
+period, and the bias grid.  Every device carries its exact dT/dphi1: a
+netlist device differentiates the closure with the resolvent identity, and
+a closed form (`devices`) attached to a built-in netlist as its accelerator
+differentiates its formula, so no derivative here is a finite difference.
 
 Everything here is deterministic: fixed grids, fixed iteration counts, no
 randomness.  Devices are referenced by built-in netlist name
@@ -33,13 +34,8 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .devices import (
-    Probabilities,
-    grover_michelson_dT_dphi1,
-    grover_michelson_probabilities,
-    michelson_dT_dphi1,
-    michelson_probabilities,
-)
+from .devices import (Probabilities, grover_michelson_dT_dphi1, grover_michelson_probabilities,
+                      michelson_dT_dphi1, michelson_probabilities)
 from .errors import DegeneratePhaseError, TargetUnreachableError, ValidationError
 from .closure import CompiledClosure
 from .netlist import Netlist, builtin_netlist, compile_netlist
@@ -173,16 +169,12 @@ class GridSpec(NamedTuple):
     def checked(self) -> "GridSpec":
         """self, or ValidationError if count or bounds are out of range."""
         if not 2 <= self.count <= MAX_GRID_POINTS:
-            raise ValidationError(
-                f"grid needs 2 to {MAX_GRID_POINTS} points, got {self.count}")
+            raise ValidationError(f"grid needs 2 to {MAX_GRID_POINTS} points, got {self.count}")
+        bounds = f"[{self.start}, {self.stop}]"
         if not self.stop > self.start:
-            raise ValidationError(
-                f"grid stop must exceed start, got [{self.start}, {self.stop}]"
-            )
+            raise ValidationError(f"grid stop must exceed start, got {bounds}")
         if not math.isfinite(self.stop - self.start):
-            raise ValidationError(
-                f"grid span stop - start overflows, got [{self.start}, {self.stop}]"
-            )
+            raise ValidationError(f"grid span stop - start overflows, got {bounds}")
         return self
 
     def values(self) -> np.ndarray:
@@ -269,14 +261,12 @@ class PerturbationResponse(NamedTuple):
     saturated: bool
 
 
-# --- derivatives -----------------------------------------------------------
+# --- sweeps ----------------------------------------------------------------
 
 def slope(device: DeviceLike, phi1: float, phi2: float) -> float:
     """Exact dT/dphi1 at a point."""
     return float(resolve_device(device).dT_dphi1(phi1, phi2))
 
-
-# --- sweeps ----------------------------------------------------------------
 
 def sweep_blocks(device: DeviceLike, phi2: float, grid: GridSpec) -> Iterator[SweepCurve]:
     """R, T, dT/dphi1 over a phi1 grid at fixed phi2, as consecutive
@@ -311,18 +301,7 @@ def sweep(device: DeviceLike, phi2: float, grid: GridSpec) -> SweepCurve:
     return SweepCurve(model.device_id, float(phi2), *columns)
 
 
-# --- resonances ------------------------------------------------------------
-
-def _resonances(model: DeviceModel, phi2: float, lo: float,
-                hi: float) -> list[tuple[float, float]]:
-    """(centre, half-width) of the model's pole resonances in phi1, from the
-    last centre at or below lo to the first at or above hi."""
-    pole = model.closure().phi1_pole({"phi2": float(phi2)})
-    if pole is None or pole[0] is None:
-        return []
-    c, w, p = pole
-    return [(c + k * p, w) for k in range(math.floor((lo - c) / p), math.ceil((hi - c) / p) + 1)]
-
+# --- curve anatomy ---------------------------------------------------------
 
 def _search_grid(lo: float, hi: float, features) -> np.ndarray:
     """Sorted samples of [lo, hi]: a uniform grid plus, around each feature
@@ -344,8 +323,7 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float,
     tol = max(tol, 4.0 * math.ulp(max(abs(lo), abs(hi))))  # else never met
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = f(c), f(d)
     while b - a > tol:
         if fc > fd:
@@ -356,16 +334,86 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float,
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = f(d)
-    if fc > fd:
-        return c, fc
-    return d, fd
+    return (c, fc) if fc > fd else (d, fd)
 
 
-# --- sensitivity maximization ----------------------------------------------
+class Anatomy:
+    """What the searches read off the curve T(phi1) of one model at one
+    phi2: the pole, then, each on first use, the steepest point, T's
+    turning points and the bias search's grid."""
+
+    def __init__(self, model: DeviceModel, phi2: float):
+        self.model, self.phi2 = model, float(phi2)
+        c, w, p = model.closure().phi1_pole({"phi2": self.phi2}) or (None, None, None)
+        #: T's period in phi1 (`phi1_pole`), None if there is none
+        self.period = p
+        #: (centre, half-width) of the pole's resonances from the last at or
+        #: below phi1 = 0 to the first at or above 2*pi (and so one period)
+        self.resonances = [] if c is None else [
+            (c + k * p, w) for k in range(math.floor(-c / p), math.ceil((TWO_PI - c) / p) + 1)]
+
+    @functools.cached_property
+    def steepest(self) -> tuple[float, float]:
+        """(argmax_phi1, max_abs_slope): see `max_sensitivity`."""
+        dT, phi2 = self.model.dT_dphi1, self.phi2
+        lo, hi, n, x_best, s_best = 0.0, TWO_PI, COARSE_POINTS, 0.0, -1.0
+        while True:
+            x = np.linspace(lo, hi, n + 1)
+            s = np.abs(dT(x, phi2))
+            k = int(np.argmax(s))
+            if s[k] > s_best:
+                x_best, s_best = float(x[k]), float(s[k])
+            pitch = (hi - lo) / n
+            if pitch <= ZOOM_PITCH:
+                break
+            lo, hi, n = x_best - pitch, x_best + pitch, ZOOM_POINTS
+
+        brackets = [(x_best - pitch, x_best + pitch, GOLDEN_TOL)]
+        for c, w in self.resonances:
+            if 0.0 <= c <= TWO_PI:
+                brackets += [(c - 4.0 * w, c, 1e-6 * w), (c, c + 4.0 * w, 1e-6 * w)]
+        for lo, hi, tol in brackets:
+            gx, gs = _golden_max(lambda x: float(np.abs(dT(x, phi2))), lo, hi, tol)
+            if gs > s_best:
+                x_best, s_best = gx, gs
+        return x_best % TWO_PI, s_best
+
+    @functools.cached_property
+    def turns(self) -> tuple[float, ...]:
+        """phi1 of T's turning points in one period: the sign changes of
+        dT/dphi1 beyond `SLOPE_NOISE_FLOOR` on the search grid of [0,
+        period], and the one across its two ends, each bisected to a |dT|
+        within that floor.  Without a period, those of [0, 2*pi]."""
+        span, dT = self.period or TWO_PI, self.model.dT_dphi1
+        x = _search_grid(0.0, span, self.resonances)
+        s = np.broadcast_to(dT(x, self.phi2), x.shape)
+        x, up = x[np.abs(s) > SLOPE_NOISE_FLOOR], s[np.abs(s) > SLOPE_NOISE_FLOOR] > 0.0
+        if self.period is not None and x.size:
+            x, up = np.append(x, x[0] + span), np.append(up, up[0])
+        return tuple(_bisect(lambda t: float(dT(t, self.phi2)), float(x[k]), float(x[k + 1]),
+                             SLOPE_NOISE_FLOOR) for k in np.nonzero(up[:-1] != up[1:])[0])
+
+    @functools.cached_property
+    def bias_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """(phi1, T) on samples of [0, 2*pi] resolving every scale around
+        the resonances and the steepest point, T's turning points added."""
+        span = self.period or TWO_PI
+        grid = _search_grid(0.0, TWO_PI, self.resonances + [(self.steepest[0], GOLDEN_TOL)])
+        shifted = np.add.outer(self.turns, span * np.arange(-1, TWO_PI // span + 2)).ravel()
+        x = sorted(set(shifted[(shifted > 0.0) & (shifted < TWO_PI)].tolist()) - set(grid.tolist()))
+        grid = np.insert(grid, np.searchsorted(grid, x), x)
+        return grid, np.broadcast_to(self.model.probabilities(grid, self.phi2).T, grid.shape)
+
+
+#: anatomy(model, phi2): the `Anatomy`, built once per model and phi2
+anatomy = functools.lru_cache(maxsize=16)(Anatomy)
+
+
+# --- searches --------------------------------------------------------------
 
 def max_sensitivity(device: DeviceLike, phi2: float) -> tuple[float, float]:
     """Global maximum of |dT/dphi1| over phi1 in [0, 2*pi] at fixed phi2,
-    as (argmax_phi1, max_abs_slope).
+    as (argmax_phi1, max_abs_slope): the steepest point of its `anatomy`.
 
     A fixed coarse grid, zoom rescans around its best cell down to a 1e-9
     pitch and a golden section find the background's maximum.  Each pole
@@ -373,74 +421,39 @@ def max_sensitivity(device: DeviceLike, phi2: float) -> tuple[float, float]:
     [c - 4w, c] and [c, c + 4w], to 1e-6 w: |dT/dphi1| peaks once on each,
     about w/sqrt(3) from c, however narrow w is.  The best of these wins.
     """
-    model = resolve_device(device)
-    lo, hi, n, x_best, s_best = 0.0, TWO_PI, COARSE_POINTS, 0.0, -1.0
-    while True:
-        x = np.linspace(lo, hi, n + 1)
-        s = np.abs(model.dT_dphi1(x, phi2))
-        k = int(np.argmax(s))
-        if s[k] > s_best:
-            x_best, s_best = float(x[k]), float(s[k])
-        pitch = (hi - lo) / n
-        if pitch <= ZOOM_PITCH:
-            break
-        lo, hi, n = x_best - pitch, x_best + pitch, ZOOM_POINTS
-
-    brackets = [(x_best - pitch, x_best + pitch, GOLDEN_TOL)]
-    for c, w in _resonances(model, phi2, 0.0, TWO_PI):
-        if 0.0 <= c <= TWO_PI:
-            brackets += [(c - 4.0 * w, c, 1e-6 * w), (c, c + 4.0 * w, 1e-6 * w)]
-    for lo, hi, tol in brackets:
-        gx, gs = _golden_max(lambda x: float(np.abs(model.dT_dphi1(x, phi2))), lo, hi, tol)
-        if gs > s_best:
-            x_best, s_best = gx, gs
-    return x_best % TWO_PI, s_best
+    return anatomy(resolve_device(device), phi2).steepest
 
 
-def sensitivity_profile(device: DeviceLike,
-                        phi2_values: Sequence[float]) -> SensitivityProfile:
+def sensitivity_profile(device: DeviceLike, phi2_values: Sequence[float]) -> SensitivityProfile:
     """max_sensitivity at each phi2, collected into a profile."""
     model = resolve_device(device)
-    points = []
-    for p2 in phi2_values:
-        x, s = max_sensitivity(model, float(p2))
-        points.append(ProfilePoint(phi2=float(p2), max_abs_slope=s, argmax_phi1=x))
-    return SensitivityProfile(device_id=model.device_id, points=tuple(points))
+    return SensitivityProfile(model.device_id, tuple(
+        ProfilePoint(float(p2), *reversed(max_sensitivity(model, float(p2)))) for p2 in phi2_values))
 
 
-# --- bias calibration ------------------------------------------------------
-
-def _bisect_T(model: DeviceModel, phi2: float, target: float, a: float, b: float) -> float:
-    """Bisection for T(phi1) = target on [a, b], where T(a), T(b) straddle it.
-
-    `BISECT_TOL` bounds the residual in T, not the interval width; iteration
-    stops early only when the bracket collapses to float resolution.
-    """
-    Ta = float(model.probabilities(a, phi2).T)
-    sign = 1.0 if Ta <= target else -1.0
+def _bisect(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
+    """Bisection for a zero of f on [a, b], where f(a), f(b) straddle it: the
+    first midpoint with |f| <= tol, else where the bracket reaches float
+    resolution."""
+    sign = 1.0 if f(a) <= 0.0 else -1.0
     mid = 0.5 * (a + b)
-    while True:
-        Tm = float(model.probabilities(mid, phi2).T)
-        if abs(Tm - target) <= BISECT_TOL:
-            return mid
-        if sign * (Tm - target) <= 0.0:
-            a = mid
-        else:
-            b = mid
-        nxt = 0.5 * (a + b)
-        if nxt == a or nxt == b:  # bracket at float resolution
+    while not abs(fm := f(mid)) <= tol:
+        a, b = (mid, b) if sign * fm <= 0.0 else (a, mid)
+        if (nxt := 0.5 * (a + b)) in (a, b):  # bracket at float resolution
             return nxt
         mid = nxt
+    return mid
 
 
 def find_bias_point(device: DeviceLike, phi2: float, target_T: float) -> BiasPoint:
     """phi1 with T(phi1, phi2) = target_T, preferring the steep monotone
     segment through the max-|slope| point (the natural readout region).
 
-    The crossing is read off the search grid, with T's refined extremes
-    added: the samples through the steepest point along which T keeps its
-    slope sign there (a tie too) are the segment.  The step where they cross
-    the target is bisected, else the grid's first crossing.
+    The crossing is read off the search grid, T's turning points added
+    (`Anatomy.bias_grid`), which also give T's range: the samples through
+    the steepest point along which T keeps its slope sign there (a tie too)
+    are the segment.  The step where they cross the target is bisected, else
+    the grid's first crossing.
 
     Raises ValidationError for a NaN target, and TargetUnreachableError when
     the target lies outside the curve's range at this phi2.
@@ -450,64 +463,55 @@ def find_bias_point(device: DeviceLike, phi2: float, target_T: float) -> BiasPoi
     if math.isnan(target):
         raise ValidationError("target T must be a number, got nan")
 
-    # Attainable range: a grid resolving every scale around the resonances
-    # and the steepest point, its extreme samples refined between neighbours.
-    x_star, _ = max_sensitivity(model, phi2)
-    grid = _search_grid(0.0, TWO_PI, _resonances(model, phi2, 0.0, TWO_PI) + [(x_star, GOLDEN_TOL)])
-    T_grid = np.broadcast_to(model.probabilities(grid, phi2).T, grid.shape)
-    for sign in (1.0, -1.0):
-        k = int(np.argmax(sign * T_grid))
-        a, b = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
-        x, sT = _golden_max(lambda x: sign * float(model.probabilities(x, phi2).T),
-                            a, b, 1e-6 * (b - a))
-        at = np.searchsorted(grid, x)
-        grid, T_grid = np.insert(grid, at, x), np.insert(T_grid, at, sign * sT)
+    shape = anatomy(model, phi2)
+    grid, T_grid = shape.bias_grid
     t_lo, t_hi = float(np.min(T_grid)), float(np.max(T_grid))
     if not (t_lo - BISECT_TOL <= target <= t_hi + BISECT_TOL):
-        raise TargetUnreachableError(
-            f"target T={target!r} outside attainable range "
-            f"[{t_lo:.6g}, {t_hi:.6g}] at phi2={phi2!r}"
-        )
+        raise TargetUnreachableError(f"target T={target!r} outside attainable range "
+                                     f"[{t_lo:.6g}, {t_hi:.6g}] at phi2={phi2!r}")
     goal = min(max(target, t_lo), t_hi)
 
     # the segment runs between the steps against x_star's slope (turns)
+    x_star = shape.steepest[0]
     i = int(np.searchsorted(grid, x_star))
     turns = np.nonzero(np.diff(T_grid) * model.dT_dphi1(x_star, phi2) < 0.0)[0]
     start, stop = turns[turns < i].max(initial=-1) + 1, turns[turns >= i].min(initial=grid.size)
     crossed = np.nonzero((T_grid[:-1] - goal) * (T_grid[1:] - goal) <= 0.0)[0]
     on_run = crossed[(crossed >= start) & (crossed < stop)]
     k = int(on_run[0] if on_run.size else crossed[0])
-    phi1 = _bisect_T(model, phi2, goal, float(grid[k]), float(grid[k + 1])) % TWO_PI
+    # BISECT_TOL bounds the residual in T, not the interval width
+    phi1 = _bisect(lambda x: float(model.probabilities(x, phi2).T) - goal,
+                   float(grid[k]), float(grid[k + 1]), BISECT_TOL) % TWO_PI
     return BiasPoint(phi1, float(phi2), float(model.probabilities(phi1, phi2).T),
                      float(model.dT_dphi1(phi1, phi2)))
 
 
 def perturbation_response(device: DeviceLike, bias: BiasPoint,
                           delta: float) -> PerturbationResponse:
-    """Transmittance change when phi1 shifts by delta from the bias point.
+    """Transmittance change when phi1 shifts by delta from the bias point,
+    against the bias point's T.
 
-    saturated reports whether dT/dphi1 changes sign anywhere on the traversed
-    interval, sampled on a grid that resolves every scale around the
-    resonances: if it does, the operating point crossed an extremum and the
-    readout no longer maps |delta T| back to a unique delta.  T repeats with
-    the period of its one phi1 seal or link (`phi1_pole`), resonant or not,
-    so at most one period from the bias point is sampled.
+    saturated reports whether a turning point of T, one of `Anatomy.turns`
+    shifted by a whole number of periods, lies strictly inside the traversed
+    interval: the operating point crossed an extremum, so the readout no
+    longer maps |delta T| back to a unique delta.  Without a period (phi1 in
+    several loops, or a phase not affine in it), it reports whether dT/dphi1
+    sampled over the interval changes sign beyond `SLOPE_NOISE_FLOOR`.
     """
     if delta == 0.0:
         return PerturbationResponse(delta_T=0.0, saturated=False)
     model = resolve_device(device)
-    T0 = float(model.probabilities(bias.phi1, bias.phi2).T)
     T1 = float(model.probabilities(bias.phi1 + delta, bias.phi2).T)
-    pole = model.closure().phi1_pole({"phi2": float(bias.phi2)})
-    span = delta if pole is None else math.copysign(min(abs(delta), pole[2]), delta)
-    lo, hi = sorted((bias.phi1, bias.phi1 + span))
-    grid = _search_grid(lo, hi, _resonances(model, bias.phi2, lo, hi))
-    s = model.dT_dphi1(grid, bias.phi2)
-    saturated = bool(np.any(s > SLOPE_NOISE_FLOOR) and np.any(s < -SLOPE_NOISE_FLOOR))
-    return PerturbationResponse(delta_T=T1 - T0, saturated=saturated)
+    lo, hi = sorted((bias.phi1, bias.phi1 + delta))
+    shape = anatomy(model, bias.phi2)
+    if shape.period is None:
+        s = model.dT_dphi1(_search_grid(lo, hi, []), bias.phi2)
+        saturated = bool(np.any(s > SLOPE_NOISE_FLOOR) and np.any(s < -SLOPE_NOISE_FLOOR))
+    else:  # the first copy of each turn above lo
+        p = shape.period
+        saturated = any(t + p * (math.floor((lo - t) / p) + 1) < hi for t in shape.turns)
+    return PerturbationResponse(delta_T=T1 - bias.T, saturated=saturated)
 
-
-# --- sensitivity-targeted tuning -------------------------------------------
 
 def solve_phi2_for_sensitivity(target_slope: float) -> float:
     """Largest phi2 in (0, pi] whose grover-michelson max sensitivity meets
@@ -525,10 +529,7 @@ def solve_phi2_for_sensitivity(target_slope: float) -> float:
     def meets(p2: float) -> bool:
         try:
             return max_sensitivity(gm, p2)[1] >= target_slope
-        except DegeneratePhaseError:
-            # The refinement walked into the degenerate corner where the
-            # response is no longer representable; the sensitivity there
-            # exceeds any finite target.
+        except DegeneratePhaseError:  # a corner steeper than any finite target
             return True
 
     if meets(math.pi):
@@ -538,8 +539,5 @@ def solve_phi2_for_sensitivity(target_slope: float) -> float:
         return lo
     while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
-        if meets(mid):
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if meets(mid) else (lo, mid)
     return lo

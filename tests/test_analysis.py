@@ -682,6 +682,34 @@ def test_delta_of_many_periods_through_a_link_samples_one(phi2, periods):
     assert perturbation_response(net, bp, periods * TWO_PI).saturated
 
 
+@pytest.mark.parametrize("netlist, phi2", [(None, 0.5), (None, 3e-5), ("grover-michelson", 0.5)])
+def test_bias_deltas_evaluate_no_grid(netlist, phi2):
+    # each delta once sampled dT/dphi1 on a grid of about 1,030-1,170
+    # points; it now reads the cached turning points and evaluates T at the
+    # shifted point only
+    base = resolve_device("grover-michelson") if netlist is None else \
+        netlist_device(parse_netlist((DOCS / f"{netlist}.json").read_text()))
+    calls = {}
+    for deltas in ([0.01], [0.01, 0.05, 1.5, -0.3, 1e3]):
+        sizes = []
+
+        def counted(f):
+            def evaluate(phi1, *args, **kwargs):
+                sizes.append(np.size(phi1))
+                return f(phi1, *args, **kwargs)
+            return evaluate
+
+        model = dataclasses.replace(base, **{  # a new model: nothing cached
+            name: counted(getattr(base, name)) for name in ("probabilities", "dT_dphi1", "curve")
+            if getattr(base, name) is not None})
+        bias = find_bias_point(model, phi2, 0.5)
+        for delta in deltas:
+            perturbation_response(model, bias, delta)
+        calls[len(deltas)] = (sum(n > 1 for n in sizes), sum(n == 1 for n in sizes))
+    assert calls[5][0] == calls[1][0]
+    assert calls[5][1] - calls[1][1] <= 2 * 4
+
+
 def test_negative_delta_scans_backwards():
     bp = find_bias_point("michelson", 0.0, 0.5)
     resp = perturbation_response("michelson", bp, -math.pi)

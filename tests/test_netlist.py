@@ -190,13 +190,30 @@ def test_open_ports_must_cover_free_ports():
         parse_netlist(json.dumps(data))
 
 
+def _random_matrix_netlist():
+    # a seeded Haar-random 4 x 4 unitary at full double precision, its first
+    # column turned so that entry [0][0] is real: rendered as a plain number,
+    # every other entry as an [re, im] pair
+    rng = np.random.default_rng(7)
+    q, r = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    u[:, 0] *= abs(u[0, 0]) / u[0, 0]
+    u[0, 0] = u[0, 0].real
+    return parse_netlist(json.dumps({
+        "devices": [{"id": "u", "kind": "matrix",
+                     "matrix": [[[z.real, z.imag] for z in row] for row in u]}],
+        "seals": [{"device": "u", "port": "p3", "phase": "phi1"},
+                  {"device": "u", "port": "p4", "phase": "phi2/3"}]}))
+
+
 def test_render_parse_round_trip():
-    for name in BUILTIN_NETLIST_NAMES:
-        net = builtin_netlist(name)
+    for net in [builtin_netlist(name) for name in BUILTIN_NETLIST_NAMES] + [_random_matrix_netlist()]:
         text = render_netlist(net)
         again = parse_netlist(text)
         assert again == net
         assert render_netlist(again) == text
+    rows = json.loads(render_netlist(_random_matrix_netlist()))["devices"][0]["matrix"]
+    assert [isinstance(z, float) for row in rows for z in row].count(True) == 1
 
 
 def test_render_is_stable_json():
