@@ -34,8 +34,13 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .devices import (Probabilities, grover_michelson_dT_dphi1, grover_michelson_probabilities,
-                      michelson_dT_dphi1, michelson_probabilities)
+from .devices import (
+    Probabilities,
+    grover_michelson_dT_dphi1,
+    grover_michelson_probabilities,
+    michelson_dT_dphi1,
+    michelson_probabilities,
+)
 from .errors import DegeneratePhaseError, TargetUnreachableError, ValidationError
 from .closure import CompiledClosure
 from .netlist import Netlist, builtin_netlist, compile_netlist
@@ -144,13 +149,17 @@ def _builtin_device(name: str) -> DeviceModel:
     return replace(model, probabilities=probabilities, dT_dphi1=dT_dphi1, curve=None)
 
 
+#: one model per netlist, so that a search finds its cached `anatomy` again
+_netlist_model = functools.lru_cache(maxsize=16)(netlist_device)
+
+
 def resolve_device(device: DeviceLike) -> DeviceModel:
     """Built-in name, Netlist, or DeviceModel -> DeviceModel.  A built-in
     evaluates its closed form where `devices` has one, else its netlist."""
     if isinstance(device, DeviceModel):
         return device
     if isinstance(device, Netlist):
-        return netlist_device(device)
+        return _netlist_model(device)
     if isinstance(device, str):
         return _builtin_device(device)
     raise ValidationError(f"cannot interpret {device!r} as a device")
@@ -169,12 +178,16 @@ class GridSpec(NamedTuple):
     def checked(self) -> "GridSpec":
         """self, or ValidationError if count or bounds are out of range."""
         if not 2 <= self.count <= MAX_GRID_POINTS:
-            raise ValidationError(f"grid needs 2 to {MAX_GRID_POINTS} points, got {self.count}")
-        bounds = f"[{self.start}, {self.stop}]"
+            raise ValidationError(
+                f"grid needs 2 to {MAX_GRID_POINTS} points, got {self.count}")
         if not self.stop > self.start:
-            raise ValidationError(f"grid stop must exceed start, got {bounds}")
+            raise ValidationError(
+                f"grid stop must exceed start, got [{self.start}, {self.stop}]"
+            )
         if not math.isfinite(self.stop - self.start):
-            raise ValidationError(f"grid span stop - start overflows, got {bounds}")
+            raise ValidationError(
+                f"grid span stop - start overflows, got [{self.start}, {self.stop}]"
+            )
         return self
 
     def values(self) -> np.ndarray:
@@ -261,12 +274,14 @@ class PerturbationResponse(NamedTuple):
     saturated: bool
 
 
-# --- sweeps ----------------------------------------------------------------
+# --- derivatives -----------------------------------------------------------
 
 def slope(device: DeviceLike, phi1: float, phi2: float) -> float:
     """Exact dT/dphi1 at a point."""
     return float(resolve_device(device).dT_dphi1(phi1, phi2))
 
+
+# --- sweeps ----------------------------------------------------------------
 
 def sweep_blocks(device: DeviceLike, phi2: float, grid: GridSpec) -> Iterator[SweepCurve]:
     """R, T, dT/dphi1 over a phi1 grid at fixed phi2, as consecutive
@@ -323,7 +338,8 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float,
     tol = max(tol, 4.0 * math.ulp(max(abs(lo), abs(hi))))  # else never met
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
     while b - a > tol:
         if fc > fd:
@@ -334,7 +350,9 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float,
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = f(d)
-    return (c, fc) if fc > fd else (d, fd)
+    if fc > fd:
+        return c, fc
+    return d, fd
 
 
 class Anatomy:
@@ -383,15 +401,22 @@ class Anatomy:
         """phi1 of T's turning points in one period: the sign changes of
         dT/dphi1 beyond `SLOPE_NOISE_FLOOR` on the search grid of [0,
         period], and the one across its two ends, each bisected to a |dT|
-        within that floor.  Without a period, those of [0, 2*pi]."""
+        within that floor.  Without a period, those of [0, 2*pi].  The grid
+        resolves the resonances; where the pole places none (a link, or a
+        seal without a cavity), the steepest point and its shifts by 2*pi
+        within the period, as that search covers [0, 2*pi] only."""
         span, dT = self.period or TWO_PI, self.model.dT_dphi1
-        x = _search_grid(0.0, span, self.resonances)
+        features = self.resonances or [((self.steepest[0] + TWO_PI * k) % span, GOLDEN_TOL)
+                                       for k in range(math.ceil(span / TWO_PI))]
+        x = _search_grid(0.0, span, features)
         s = np.broadcast_to(dT(x, self.phi2), x.shape)
-        x, up = x[np.abs(s) > SLOPE_NOISE_FLOOR], s[np.abs(s) > SLOPE_NOISE_FLOOR] > 0.0
-        if self.period is not None and x.size:
+        kept = np.abs(s) > SLOPE_NOISE_FLOOR
+        x, up = x[kept], s[kept] > 0.0
+        if self.period is not None and x.size:  # the turn across the period's ends
             x, up = np.append(x, x[0] + span), np.append(up, up[0])
+        steps = np.nonzero(up[:-1] != up[1:])[0]
         return tuple(_bisect(lambda t: float(dT(t, self.phi2)), float(x[k]), float(x[k + 1]),
-                             SLOPE_NOISE_FLOOR) for k in np.nonzero(up[:-1] != up[1:])[0])
+                             SLOPE_NOISE_FLOOR) for k in steps)
 
     @functools.cached_property
     def bias_grid(self) -> tuple[np.ndarray, np.ndarray]:
@@ -409,7 +434,7 @@ class Anatomy:
 anatomy = functools.lru_cache(maxsize=16)(Anatomy)
 
 
-# --- searches --------------------------------------------------------------
+# --- sensitivity maximization ----------------------------------------------
 
 def max_sensitivity(device: DeviceLike, phi2: float) -> tuple[float, float]:
     """Global maximum of |dT/dphi1| over phi1 in [0, 2*pi] at fixed phi2,
@@ -424,25 +449,39 @@ def max_sensitivity(device: DeviceLike, phi2: float) -> tuple[float, float]:
     return anatomy(resolve_device(device), phi2).steepest
 
 
-def sensitivity_profile(device: DeviceLike, phi2_values: Sequence[float]) -> SensitivityProfile:
+def sensitivity_profile(device: DeviceLike,
+                        phi2_values: Sequence[float]) -> SensitivityProfile:
     """max_sensitivity at each phi2, collected into a profile."""
     model = resolve_device(device)
-    return SensitivityProfile(model.device_id, tuple(
-        ProfilePoint(float(p2), *reversed(max_sensitivity(model, float(p2)))) for p2 in phi2_values))
+    points = []
+    for p2 in phi2_values:
+        x, s = max_sensitivity(model, float(p2))
+        points.append(ProfilePoint(phi2=float(p2), max_abs_slope=s, argmax_phi1=x))
+    return SensitivityProfile(device_id=model.device_id, points=tuple(points))
 
+
+# --- bias calibration ------------------------------------------------------
 
 def _bisect(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    """Bisection for a zero of f on [a, b], where f(a), f(b) straddle it: the
-    first midpoint with |f| <= tol, else where the bracket reaches float
-    resolution."""
+    """Bisection for a zero of f on [a, b], where f(a), f(b) straddle it.
+
+    Returns the first midpoint with |f| <= tol; iteration stops early only
+    when the bracket collapses to float resolution.
+    """
     sign = 1.0 if f(a) <= 0.0 else -1.0
     mid = 0.5 * (a + b)
-    while not abs(fm := f(mid)) <= tol:
-        a, b = (mid, b) if sign * fm <= 0.0 else (a, mid)
-        if (nxt := 0.5 * (a + b)) in (a, b):  # bracket at float resolution
+    while True:
+        fm = f(mid)
+        if abs(fm) <= tol:
+            return mid
+        if sign * fm <= 0.0:
+            a = mid
+        else:
+            b = mid
+        nxt = 0.5 * (a + b)
+        if nxt == a or nxt == b:  # bracket at float resolution
             return nxt
         mid = nxt
-    return mid
 
 
 def find_bias_point(device: DeviceLike, phi2: float, target_T: float) -> BiasPoint:
@@ -467,8 +506,10 @@ def find_bias_point(device: DeviceLike, phi2: float, target_T: float) -> BiasPoi
     grid, T_grid = shape.bias_grid
     t_lo, t_hi = float(np.min(T_grid)), float(np.max(T_grid))
     if not (t_lo - BISECT_TOL <= target <= t_hi + BISECT_TOL):
-        raise TargetUnreachableError(f"target T={target!r} outside attainable range "
-                                     f"[{t_lo:.6g}, {t_hi:.6g}] at phi2={phi2!r}")
+        raise TargetUnreachableError(
+            f"target T={target!r} outside attainable range "
+            f"[{t_lo:.6g}, {t_hi:.6g}] at phi2={phi2!r}"
+        )
     goal = min(max(target, t_lo), t_hi)
 
     # the segment runs between the steps against x_star's slope (turns)
@@ -488,8 +529,7 @@ def find_bias_point(device: DeviceLike, phi2: float, target_T: float) -> BiasPoi
 
 def perturbation_response(device: DeviceLike, bias: BiasPoint,
                           delta: float) -> PerturbationResponse:
-    """Transmittance change when phi1 shifts by delta from the bias point,
-    against the bias point's T.
+    """Transmittance change when phi1 shifts by delta from the bias point.
 
     saturated reports whether a turning point of T, one of `Anatomy.turns`
     shifted by a whole number of periods, lies strictly inside the traversed
@@ -501,6 +541,7 @@ def perturbation_response(device: DeviceLike, bias: BiasPoint,
     if delta == 0.0:
         return PerturbationResponse(delta_T=0.0, saturated=False)
     model = resolve_device(device)
+    T0 = float(model.probabilities(bias.phi1, bias.phi2).T)
     T1 = float(model.probabilities(bias.phi1 + delta, bias.phi2).T)
     lo, hi = sorted((bias.phi1, bias.phi1 + delta))
     shape = anatomy(model, bias.phi2)
@@ -510,8 +551,10 @@ def perturbation_response(device: DeviceLike, bias: BiasPoint,
     else:  # the first copy of each turn above lo
         p = shape.period
         saturated = any(t + p * (math.floor((lo - t) / p) + 1) < hi for t in shape.turns)
-    return PerturbationResponse(delta_T=T1 - bias.T, saturated=saturated)
+    return PerturbationResponse(delta_T=T1 - T0, saturated=saturated)
 
+
+# --- sensitivity-targeted tuning -------------------------------------------
 
 def solve_phi2_for_sensitivity(target_slope: float) -> float:
     """Largest phi2 in (0, pi] whose grover-michelson max sensitivity meets
@@ -529,7 +572,10 @@ def solve_phi2_for_sensitivity(target_slope: float) -> float:
     def meets(p2: float) -> bool:
         try:
             return max_sensitivity(gm, p2)[1] >= target_slope
-        except DegeneratePhaseError:  # a corner steeper than any finite target
+        except DegeneratePhaseError:
+            # The refinement walked into the degenerate corner where the
+            # response is no longer representable; the sensitivity there
+            # exceeds any finite target.
             return True
 
     if meets(math.pi):
@@ -539,5 +585,8 @@ def solve_phi2_for_sensitivity(target_slope: float) -> float:
         return lo
     while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if meets(mid) else (lo, mid)
+        if meets(mid):
+            lo = mid
+        else:
+            hi = mid
     return lo

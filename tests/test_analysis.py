@@ -63,6 +63,14 @@ def test_model_names_cover_the_registry():
             assert model.curve is not None
 
 
+def test_a_netlist_resolves_to_one_model():
+    # an equal netlist finds the same model, and so its cached anatomy
+    text = (DOCS / "grover-michelson.json").read_text()
+    model = resolve_device(parse_netlist(text))
+    assert resolve_device(parse_netlist(text)) is model
+    assert model.device_id == "netlist"
+
+
 def test_resolve_unknown_name():
     with pytest.raises(ValidationError, match="built-ins: bs-cavity, fusion, grover-michelson"):
         resolve_device("sagnac")
@@ -680,6 +688,18 @@ def test_delta_of_many_periods_through_a_link_samples_one(phi2, periods):
     net = parse_netlist(json.dumps(WITHOUT_POLE["link"][0]))
     bp = find_bias_point(net, phi2, 0.5)
     assert perturbation_response(net, bp, periods * TWO_PI).saturated
+
+
+@pytest.mark.parametrize("phi2", [3e-3, 1e-2])
+@pytest.mark.parametrize("delta", [0.01, 1.5])
+def test_delta_across_a_narrow_link_resonance_saturates(phi2, delta):
+    # the link form has a period but no resonance centre: T peaks at
+    # 2*pi - phi2 and falls to 0 at 2*pi, both inside one cell of a uniform
+    # grid over its 4*pi period, so only a grid resolved around the steepest
+    # point sees those turning points
+    net = parse_netlist((DOCS / "grover-michelson-link.json").read_text())
+    bp = find_bias_point(net, phi2, 0.5)
+    assert perturbation_response(net, bp, delta).saturated
 
 
 @pytest.mark.parametrize("netlist, phi2", [(None, 0.5), (None, 3e-5), ("grover-michelson", 0.5)])
