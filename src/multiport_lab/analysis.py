@@ -11,8 +11,9 @@ The searches read one cached `anatomy` of the curve per model and phi2.  Its
 closure's pole gives T's period in phi1 and places each resonance with its
 half-width w (~ phi2**2 for the grover-michelson), so the grids resolve
 every scale around it on top of one fixed grid; without a pole the grid
-searches alone.  On top come the steepest point, T's turning points over one
-period, and the bias grid.  Every device carries its exact dT/dphi1: a
+searches alone.  On top come the peaks of |dT/dphi1|, each zoomed to float
+resolution, and the steepest of them; T's turning points over one period;
+and the bias grid.  Every device carries its exact dT/dphi1: a
 netlist device differentiates the closure with the resolvent identity, and
 a closed form (`devices`) attached to a built-in netlist as its accelerator
 differentiates its formula, so no derivative here is a finite difference.
@@ -48,11 +49,9 @@ from .netlist import Netlist, builtin_netlist, compile_netlist
 TWO_PI = 2.0 * math.pi
 
 COARSE_POINTS = 1024
-ZOOM_POINTS = 4096
-GOLDEN_TOL = 1e-9
+#: steps of each zoom level of `Anatomy.peaks`
+ZOOM_POINTS = 64
 BISECT_TOL = 1e-9
-#: zoom cascades stop once the grid pitch is below this
-ZOOM_PITCH = 1e-9
 #: slopes below this are indistinguishable from evaluation roundoff
 SLOPE_NOISE_FLOOR = 1e-9
 #: largest grid `GridSpec` builds (2^22): `sweep` holds four float64
@@ -332,33 +331,10 @@ def _search_grid(lo: float, hi: float, features) -> np.ndarray:
     return x[(x >= lo) & (x <= hi)]
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float,
-                tol: float) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal f on [lo, hi]."""
-    tol = max(tol, 4.0 * math.ulp(max(abs(lo), abs(hi))))  # else never met
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    if fc > fd:
-        return c, fc
-    return d, fd
-
-
 class Anatomy:
     """What the searches read off the curve T(phi1) of one model at one
-    phi2: the pole, then, each on first use, the steepest point, T's
-    turning points and the bias search's grid."""
+    phi2: the pole, then, each on first use, the peaks of |dT/dphi1| and
+    the steepest of them, T's turning points and the bias search's grid."""
 
     def __init__(self, model: DeviceModel, phi2: float):
         self.model, self.phi2 = model, float(phi2)
@@ -371,30 +347,43 @@ class Anatomy:
             (c + k * p, w) for k in range(math.floor(-c / p), math.ceil((TWO_PI - c) / p) + 1)]
 
     @functools.cached_property
+    def peaks(self) -> tuple[tuple[float, float], ...]:
+        """(phi1, dT/dphi1) at the local maxima of |dT/dphi1| sampled on the
+        search grid of [0, 2*pi], each zoomed to float resolution once for
+        each sign of dT/dphi1: a resonance narrower than the grid, whose two
+        flanks slope opposite ways, may hide between two samples.  A zoom
+        rescans the two cells around its point in `ZOOM_POINTS` steps and
+        recentres on its best point of its sign so far, until the pitch is a
+        couple of ulps of phi1 near 2*pi."""
+        dT, phi2, n = self.model.dT_dphi1, self.phi2, ZOOM_POINTS
+        x = _search_grid(0.0, TWO_PI, self.resonances)
+        s = np.broadcast_to(dT(x, phi2), x.shape)
+        a = np.concatenate(([-1.0], np.abs(s), [-1.0]))  # the ends' outer neighbours
+        k = np.nonzero((a[1:-1] >= a[:-2]) & (a[1:-1] > a[2:]))[0]
+        k, sign = np.tile(k, 2), np.repeat([1.0, -1.0], k.size)
+        best, top = x[k], sign * s[k]
+        lo, hi = x[np.maximum(k - 1, 0)], x[np.minimum(k + 1, x.size - 1)]
+        found = []
+        while best.size:
+            grid = np.linspace(lo, hi, n + 1, axis=-1)
+            up = sign[:, None] * np.broadcast_to(dT(grid, phi2), grid.shape)
+            on = (np.arange(best.size), np.argmax(up, axis=-1))
+            better = up[on] > top
+            best, top = np.where(better, grid[on], best), np.where(better, up[on], top)
+            pitch = (hi - lo) / n
+            going = pitch > 2.0 * math.ulp(TWO_PI)
+            found += zip(best[~going].tolist(), (sign * top)[~going].tolist())
+            best, top, sign, pitch = best[going], top[going], sign[going], pitch[going]
+            lo, hi = best - pitch, best + pitch
+        return tuple(found)
+
+    @functools.cached_property
     def steepest(self) -> tuple[float, float]:
         """(argmax_phi1, max_abs_slope): see `max_sensitivity`."""
-        dT, phi2 = self.model.dT_dphi1, self.phi2
-        lo, hi, n, x_best, s_best = 0.0, TWO_PI, COARSE_POINTS, 0.0, -1.0
-        while True:
-            x = np.linspace(lo, hi, n + 1)
-            s = np.abs(dT(x, phi2))
-            k = int(np.argmax(s))
-            if s[k] > s_best:
-                x_best, s_best = float(x[k]), float(s[k])
-            pitch = (hi - lo) / n
-            if pitch <= ZOOM_PITCH:
-                break
-            lo, hi, n = x_best - pitch, x_best + pitch, ZOOM_POINTS
-
-        brackets = [(x_best - pitch, x_best + pitch, GOLDEN_TOL)]
-        for c, w in self.resonances:
-            if 0.0 <= c <= TWO_PI:
-                brackets += [(c - 4.0 * w, c, 1e-6 * w), (c, c + 4.0 * w, 1e-6 * w)]
-        for lo, hi, tol in brackets:
-            gx, gs = _golden_max(lambda x: float(np.abs(dT(x, phi2))), lo, hi, tol)
-            if gs > s_best:
-                x_best, s_best = gx, gs
-        return x_best % TWO_PI, s_best
+        top = max(abs(s) for _, s in self.peaks)
+        x, s = max((p for p in self.peaks if abs(p[1]) >= top * (1.0 - 1e-12)),
+                   key=lambda p: (p[1] > 0.0, abs(p[1])))
+        return x % TWO_PI, abs(s)
 
     @functools.cached_property
     def turns(self) -> tuple[float, ...]:
@@ -406,7 +395,7 @@ class Anatomy:
         seal without a cavity), the steepest point and its shifts by 2*pi
         within the period, as that search covers [0, 2*pi] only."""
         span, dT = self.period or TWO_PI, self.model.dT_dphi1
-        features = self.resonances or [((self.steepest[0] + TWO_PI * k) % span, GOLDEN_TOL)
+        features = self.resonances or [((self.steepest[0] + TWO_PI * k) % span, BISECT_TOL)
                                        for k in range(math.ceil(span / TWO_PI))]
         x = _search_grid(0.0, span, features)
         s = np.broadcast_to(dT(x, self.phi2), x.shape)
@@ -423,7 +412,7 @@ class Anatomy:
         """(phi1, T) on samples of [0, 2*pi] resolving every scale around
         the resonances and the steepest point, T's turning points added."""
         span = self.period or TWO_PI
-        grid = _search_grid(0.0, TWO_PI, self.resonances + [(self.steepest[0], GOLDEN_TOL)])
+        grid = _search_grid(0.0, TWO_PI, self.resonances + [(self.steepest[0], BISECT_TOL)])
         shifted = np.add.outer(self.turns, span * np.arange(-1, TWO_PI // span + 2)).ravel()
         x = sorted(set(shifted[(shifted > 0.0) & (shifted < TWO_PI)].tolist()) - set(grid.tolist()))
         grid = np.insert(grid, np.searchsorted(grid, x), x)
@@ -440,11 +429,13 @@ def max_sensitivity(device: DeviceLike, phi2: float) -> tuple[float, float]:
     """Global maximum of |dT/dphi1| over phi1 in [0, 2*pi] at fixed phi2,
     as (argmax_phi1, max_abs_slope): the steepest point of its `anatomy`.
 
-    A fixed coarse grid, zoom rescans around its best cell down to a 1e-9
-    pitch and a golden section find the background's maximum.  Each pole
-    resonance (centre c, half-width w) adds a golden section of each flank,
-    [c - 4w, c] and [c, c + 4w], to 1e-6 w: |dT/dphi1| peaks once on each,
-    about w/sqrt(3) from c, however narrow w is.  The best of these wins.
+    The largest of `Anatomy.peaks`, each sampled peak of the slope zoomed
+    to float resolution.  The search grid samples each pole resonance
+    (centre c, half-width w) at c +- w*2^(k/8), so each flank's maximum,
+    about w/sqrt(3) from c, is a peak of its own however narrow w is.
+    Peaks within 1e-12 relative of the largest tie, and a tie takes the
+    rising flank (dT/dphi1 > 0), so mirror-image flanks do not choose by
+    rounding.
     """
     return anatomy(resolve_device(device), phi2).steepest
 
@@ -491,8 +482,9 @@ def find_bias_point(device: DeviceLike, phi2: float, target_T: float) -> BiasPoi
     The crossing is read off the search grid, T's turning points added
     (`Anatomy.bias_grid`), which also give T's range: the samples through
     the steepest point along which T keeps its slope sign there (a tie too)
-    are the segment.  The step where they cross the target is bisected, else
-    the grid's first crossing.
+    are the segment, which runs on across phi1 = 0 where T's period divides
+    2*pi.  The step where they cross the target is bisected, else the grid's
+    first crossing.
 
     Raises ValidationError for a NaN target, and TargetUnreachableError when
     the target lies outside the curve's range at this phi2.
@@ -513,13 +505,18 @@ def find_bias_point(device: DeviceLike, phi2: float, target_T: float) -> BiasPoi
     goal = min(max(target, t_lo), t_hi)
 
     # the segment runs between the steps against x_star's slope (turns)
-    x_star = shape.steepest[0]
+    x_star, m = shape.steepest[0], grid.size - 1
+    periodic = shape.period is not None and (TWO_PI / shape.period).is_integer()
+    if periodic:  # T(2*pi) is T(0), so the segment may run on across phi1 = 0
+        T_grid = np.append(T_grid[:-1], T_grid[0])
     i = int(np.searchsorted(grid, x_star))
     turns = np.nonzero(np.diff(T_grid) * model.dT_dphi1(x_star, phi2) < 0.0)[0]
-    start, stop = turns[turns < i].max(initial=-1) + 1, turns[turns >= i].min(initial=grid.size)
-    crossed = np.nonzero((T_grid[:-1] - goal) * (T_grid[1:] - goal) <= 0.0)[0]
-    on_run = crossed[(crossed >= start) & (crossed < stop)]
-    k = int(on_run[0] if on_run.size else crossed[0])
+    before, after = (turns.max() - m, turns.min() + m) if periodic and turns.size else (-1, m)
+    start, stop = turns[turns < i].max(initial=before) + 1, turns[turns >= i].min(initial=after)
+    run = np.arange(start, stop) % m
+    crossed = (T_grid[:-1] - goal) * (T_grid[1:] - goal) <= 0.0
+    on_run = run[crossed[run]]
+    k = int(on_run[0] if on_run.size else np.argmax(crossed))
     # BISECT_TOL bounds the residual in T, not the interval width
     phi1 = _bisect(lambda x: float(model.probabilities(x, phi2).T) - goal,
                    float(grid[k]), float(grid[k + 1]), BISECT_TOL) % TWO_PI
