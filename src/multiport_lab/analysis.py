@@ -12,10 +12,11 @@ closure's pole gives T's period in phi1 and places each resonance with its
 half-width w (~ phi2**2 for the grover-michelson), so the grids resolve
 every scale around it on top of one fixed grid; without a pole the grid
 searches alone.  On top come the peaks of |dT/dphi1|, each zoomed to float
-resolution, and the steepest of them; T's turning points over one period;
-and the bias grid.  Every device carries its exact dT/dphi1: a
-netlist device differentiates the closure with the resolvent identity, and
-a closed form (`devices`) attached to a built-in netlist as its accelerator
+resolution, and the steepest of them; and T's turning points over one
+period, refined alike, which cut T into the monotone pieces that the bias
+search reads.  Every device carries its exact dT/dphi1: a netlist device
+differentiates the closure with the resolvent identity, and a closed form
+(`devices`) attached to a built-in netlist as its accelerator
 differentiates its formula, so no derivative here is a finite difference.
 
 Everything here is deterministic: fixed grids, fixed iteration counts, no
@@ -49,8 +50,10 @@ from .netlist import Netlist, builtin_netlist, compile_netlist
 TWO_PI = 2.0 * math.pi
 
 COARSE_POINTS = 1024
-#: steps of each zoom level of `Anatomy.peaks`
+#: steps of each zoom level of `Anatomy.peaks` and `_crossings`
 ZOOM_POINTS = 64
+#: slack on a bias target beyond T's range, and the feature width that
+#: `Anatomy.turns` gives the steepest point where the pole places no resonance
 BISECT_TOL = 1e-9
 #: slopes below this are indistinguishable from evaluation roundoff
 SLOPE_NOISE_FLOOR = 1e-9
@@ -331,10 +334,32 @@ def _search_grid(lo: float, hi: float, features) -> np.ndarray:
     return x[(x >= lo) & (x <= hi)]
 
 
+def _crossings(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
+               hi: np.ndarray) -> np.ndarray:
+    """A zero of f in each bracket [lo, hi] across whose ends f does not
+    keep its sign, all brackets refined at once: each level rescans every
+    bracket in `ZOOM_POINTS` steps and keeps its first cell across which f
+    does not keep its sign, until that cell is an ulp of 2*pi wide (an
+    absolute stop: a relative one refines into subnormals around 0) or
+    stops narrowing (phi1 of 8 or more, where floats are sparser).  Returns
+    the end of each last cell where |f| is smaller."""
+    found, todo = np.empty(lo.shape), np.arange(lo.size)
+    while todo.size:
+        grid = np.linspace(lo, hi, ZOOM_POINTS + 1, axis=-1)
+        v = np.broadcast_to(f(grid), grid.shape)
+        sign = np.sign(v)
+        rows, k = np.arange(todo.size), np.argmax(sign[:, :-1] * sign[:, 1:] <= 0.0, axis=-1)
+        width, lo, hi = hi - lo, grid[rows, k], grid[rows, k + 1]
+        done = (hi - lo <= math.ulp(TWO_PI)) | (hi - lo >= width)
+        found[todo[done]] = np.where(np.abs(v[rows, k]) <= np.abs(v[rows, k + 1]), lo, hi)[done]
+        todo, lo, hi = todo[~done], lo[~done], hi[~done]
+    return found
+
+
 class Anatomy:
     """What the searches read off the curve T(phi1) of one model at one
     phi2: the pole, then, each on first use, the peaks of |dT/dphi1| and
-    the steepest of them, T's turning points and the bias search's grid."""
+    the steepest of them, and T's turning points."""
 
     def __init__(self, model: DeviceModel, phi2: float):
         self.model, self.phi2 = model, float(phi2)
@@ -345,24 +370,32 @@ class Anatomy:
         #: below phi1 = 0 to the first at or above 2*pi (and so one period)
         self.resonances = [] if c is None else [
             (c + k * p, w) for k in range(math.floor(-c / p), math.ceil((TWO_PI - c) / p) + 1)]
+        #: whether the period divides 2*pi, so that T(2*pi) is T(0) and
+        #: [0, 2*pi] closes into a ring
+        self.ring = p is not None and (TWO_PI / p).is_integer()
 
     @functools.cached_property
     def peaks(self) -> tuple[tuple[float, float], ...]:
         """(phi1, dT/dphi1) at the local maxima of |dT/dphi1| sampled on the
-        search grid of [0, 2*pi], each zoomed to float resolution once for
-        each sign of dT/dphi1: a resonance narrower than the grid, whose two
-        flanks slope opposite ways, may hide between two samples.  A zoom
-        rescans the two cells around its point in `ZOOM_POINTS` steps and
-        recentres on its best point of its sign so far, until the pitch is a
-        couple of ulps of phi1 near 2*pi."""
+        search grid of [0, 2*pi], a ring where `ring`, each zoomed to float
+        resolution once for each sign of dT/dphi1: a resonance narrower than
+        the grid, whose two flanks slope opposite ways, may hide between two
+        samples.  A zoom rescans the two cells around its point in
+        `ZOOM_POINTS` steps and recentres on its best point of its sign so
+        far, until the pitch is a couple of ulps of phi1 near 2*pi."""
         dT, phi2, n = self.model.dT_dphi1, self.phi2, ZOOM_POINTS
         x = _search_grid(0.0, TWO_PI, self.resonances)
+        if self.ring:  # the 2*pi sample repeats phi1 = 0's
+            x = x[:-1]
         s = np.broadcast_to(dT(x, phi2), x.shape)
-        a = np.concatenate(([-1.0], np.abs(s), [-1.0]))  # the ends' outer neighbours
+        # each end's outer neighbour: the other end across the ring, else none
+        a = np.abs(s)
+        a = np.concatenate((a[-1:], a, a[:1]) if self.ring else ([-1.0], a, [-1.0]))
+        xs = np.concatenate(([x[-1] - TWO_PI], x, [TWO_PI]) if self.ring else (x[:1], x, x[-1:]))
         k = np.nonzero((a[1:-1] >= a[:-2]) & (a[1:-1] > a[2:]))[0]
         k, sign = np.tile(k, 2), np.repeat([1.0, -1.0], k.size)
         best, top = x[k], sign * s[k]
-        lo, hi = x[np.maximum(k - 1, 0)], x[np.minimum(k + 1, x.size - 1)]
+        lo, hi = xs[k], xs[k + 2]
         found = []
         while best.size:
             grid = np.linspace(lo, hi, n + 1, axis=-1)
@@ -383,17 +416,17 @@ class Anatomy:
         top = max(abs(s) for _, s in self.peaks)
         x, s = max((p for p in self.peaks if abs(p[1]) >= top * (1.0 - 1e-12)),
                    key=lambda p: (p[1] > 0.0, abs(p[1])))
-        return x % TWO_PI, abs(s)
+        return x % TWO_PI % TWO_PI, abs(s)  # a tiny negative x % TWO_PI is TWO_PI itself
 
     @functools.cached_property
     def turns(self) -> tuple[float, ...]:
         """phi1 of T's turning points in one period: the sign changes of
         dT/dphi1 beyond `SLOPE_NOISE_FLOOR` on the search grid of [0,
-        period], and the one across its two ends, each bisected to a |dT|
-        within that floor.  Without a period, those of [0, 2*pi].  The grid
-        resolves the resonances; where the pole places none (a link, or a
-        seal without a cavity), the steepest point and its shifts by 2*pi
-        within the period, as that search covers [0, 2*pi] only."""
+        period], and the one across its two ends, each refined to float
+        resolution by `_crossings`.  Without a period, those of [0, 2*pi].
+        The grid resolves the resonances; where the pole places none (a
+        link, or a seal without a cavity), the steepest point and its shifts
+        by 2*pi within the period, as that search covers [0, 2*pi] only."""
         span, dT = self.period or TWO_PI, self.model.dT_dphi1
         features = self.resonances or [((self.steepest[0] + TWO_PI * k) % span, BISECT_TOL)
                                        for k in range(math.ceil(span / TWO_PI))]
@@ -404,19 +437,7 @@ class Anatomy:
         if self.period is not None and x.size:  # the turn across the period's ends
             x, up = np.append(x, x[0] + span), np.append(up, up[0])
         steps = np.nonzero(up[:-1] != up[1:])[0]
-        return tuple(_bisect(lambda t: float(dT(t, self.phi2)), float(x[k]), float(x[k + 1]),
-                             SLOPE_NOISE_FLOOR) for k in steps)
-
-    @functools.cached_property
-    def bias_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """(phi1, T) on samples of [0, 2*pi] resolving every scale around
-        the resonances and the steepest point, T's turning points added."""
-        span = self.period or TWO_PI
-        grid = _search_grid(0.0, TWO_PI, self.resonances + [(self.steepest[0], BISECT_TOL)])
-        shifted = np.add.outer(self.turns, span * np.arange(-1, TWO_PI // span + 2)).ravel()
-        x = sorted(set(shifted[(shifted > 0.0) & (shifted < TWO_PI)].tolist()) - set(grid.tolist()))
-        grid = np.insert(grid, np.searchsorted(grid, x), x)
-        return grid, np.broadcast_to(self.model.probabilities(grid, self.phi2).T, grid.shape)
+        return tuple(_crossings(lambda t: dT(t, self.phi2), x[steps], x[steps + 1]).tolist())
 
 
 #: anatomy(model, phi2): the `Anatomy`, built once per model and phi2
@@ -453,38 +474,17 @@ def sensitivity_profile(device: DeviceLike,
 
 # --- bias calibration ------------------------------------------------------
 
-def _bisect(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    """Bisection for a zero of f on [a, b], where f(a), f(b) straddle it.
-
-    Returns the first midpoint with |f| <= tol; iteration stops early only
-    when the bracket collapses to float resolution.
-    """
-    sign = 1.0 if f(a) <= 0.0 else -1.0
-    mid = 0.5 * (a + b)
-    while True:
-        fm = f(mid)
-        if abs(fm) <= tol:
-            return mid
-        if sign * fm <= 0.0:
-            a = mid
-        else:
-            b = mid
-        nxt = 0.5 * (a + b)
-        if nxt == a or nxt == b:  # bracket at float resolution
-            return nxt
-        mid = nxt
-
-
 def find_bias_point(device: DeviceLike, phi2: float, target_T: float) -> BiasPoint:
     """phi1 with T(phi1, phi2) = target_T, preferring the steep monotone
-    segment through the max-|slope| point (the natural readout region).
+    piece through the max-|slope| point (the natural readout region).
 
-    The crossing is read off the search grid, T's turning points added
-    (`Anatomy.bias_grid`), which also give T's range: the samples through
-    the steepest point along which T keeps its slope sign there (a tie too)
-    are the segment, which runs on across phi1 = 0 where T's period divides
-    2*pi.  The step where they cross the target is bisected, else the grid's
-    first crossing.
+    T's turning points (`Anatomy.turns`), shifted by whole periods into
+    (0, 2*pi), cut [0, 2*pi] into pieces on which T is monotone; where T's
+    period divides 2*pi, the copies just beyond either end stand in for 0
+    and 2*pi, so a piece runs on across phi1 = 0.  T at the piece ends is
+    the attainable range.  The crossing is refined by `_crossings` on the
+    piece through the steepest point if T crosses the target there, else on
+    the first piece where it does, and reduced into [0, 2*pi).
 
     Raises ValidationError for a NaN target, and TargetUnreachableError when
     the target lies outside the curve's range at this phi2.
@@ -495,8 +495,16 @@ def find_bias_point(device: DeviceLike, phi2: float, target_T: float) -> BiasPoi
         raise ValidationError("target T must be a number, got nan")
 
     shape = anatomy(model, phi2)
-    grid, T_grid = shape.bias_grid
-    t_lo, t_hi = float(np.min(T_grid)), float(np.max(T_grid))
+    p = shape.period or TWO_PI
+    copies = [t + p * k for t in shape.turns
+              for k in range(math.floor(-t / p) - 1, math.ceil((TWO_PI - t) / p) + 2)]
+    # sorted(), not np.sort or np.unique: see `_search_grid`
+    ends = [0.0] + sorted(c for c in copies if 0.0 < c < TWO_PI) + [TWO_PI]
+    if shape.ring and copies:  # T(2*pi) is T(0): a piece may run on across phi1 = 0
+        ends[0], ends[-1] = max(c for c in copies if c <= 0.0), min(c for c in copies if c >= TWO_PI)
+    ends = np.array(ends)
+    T_ends = np.broadcast_to(model.probabilities(ends, phi2).T, ends.shape)
+    t_lo, t_hi = float(np.min(T_ends)), float(np.max(T_ends))
     if not (t_lo - BISECT_TOL <= target <= t_hi + BISECT_TOL):
         raise TargetUnreachableError(
             f"target T={target!r} outside attainable range "
@@ -504,22 +512,13 @@ def find_bias_point(device: DeviceLike, phi2: float, target_T: float) -> BiasPoi
         )
     goal = min(max(target, t_lo), t_hi)
 
-    # the segment runs between the steps against x_star's slope (turns)
-    x_star, m = shape.steepest[0], grid.size - 1
-    periodic = shape.period is not None and (TWO_PI / shape.period).is_integer()
-    if periodic:  # T(2*pi) is T(0), so the segment may run on across phi1 = 0
-        T_grid = np.append(T_grid[:-1], T_grid[0])
-    i = int(np.searchsorted(grid, x_star))
-    turns = np.nonzero(np.diff(T_grid) * model.dT_dphi1(x_star, phi2) < 0.0)[0]
-    before, after = (turns.max() - m, turns.min() + m) if periodic and turns.size else (-1, m)
-    start, stop = turns[turns < i].max(initial=before) + 1, turns[turns >= i].min(initial=after)
-    run = np.arange(start, stop) % m
-    crossed = (T_grid[:-1] - goal) * (T_grid[1:] - goal) <= 0.0
-    on_run = run[crossed[run]]
-    k = int(on_run[0] if on_run.size else np.argmax(crossed))
-    # BISECT_TOL bounds the residual in T, not the interval width
-    phi1 = _bisect(lambda x: float(model.probabilities(x, phi2).T) - goal,
-                   float(grid[k]), float(grid[k + 1]), BISECT_TOL) % TWO_PI
+    side = np.sign(T_ends - goal)
+    crossed = side[:-1] * side[1:] <= 0.0
+    i = int(np.searchsorted(ends, shape.steepest[0], side="right")) - 1
+    if not crossed[i]:
+        i = int(np.argmax(crossed))
+    x, = _crossings(lambda t: model.probabilities(t, phi2).T - goal, ends[[i]], ends[[i + 1]])
+    phi1 = float(x) % TWO_PI % TWO_PI  # in [0, 2*pi), as in `Anatomy.steepest`
     return BiasPoint(phi1, float(phi2), float(model.probabilities(phi1, phi2).T),
                      float(model.dT_dphi1(phi1, phi2)))
 
