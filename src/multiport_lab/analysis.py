@@ -558,8 +558,11 @@ def solve_phi2_for_sensitivity(target_slope: float) -> float:
 
     The maximum sensitivity decreases from unbounded (phi2 -> 0) to its
     minimum at phi2 = pi, so any positive target is reachable: if the pi
-    value already suffices, pi is returned; otherwise bisection brackets the
-    crossing to within 1e-6, floored at 1e-8.
+    value already suffices, pi is returned; otherwise bisection in log phi2
+    from [1e-8, pi] brackets the crossing to float resolution, so the result
+    meets the target and a relative 1e-9 more does not.  At phi2 up to
+    about 1.41e-6 the search refuses (DegeneratePhaseError), which counts as
+    meeting, so a target above about 3.2e11 returns about 1.41e-6.
     """
     if not target_slope > 0.0:
         raise ValidationError(f"target slope must be positive, got {target_slope!r}")
@@ -579,10 +582,7 @@ def solve_phi2_for_sensitivity(target_slope: float) -> float:
     lo, hi = 1e-8, math.pi
     if not meets(lo):
         return lo
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        if meets(mid):
-            lo = mid
-        else:
-            hi = mid
+    # the geometric midpoint is an end once lo and hi are adjacent doubles
+    while (mid := math.sqrt(lo * hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if meets(mid) else (lo, mid)
     return lo

@@ -11,9 +11,13 @@ to the amplitudes re-entering the device, the effective matrix is
 
 Only phi1 is swept, so at fixed values of the other symbols every loop whose
 phase misses phi1 is constant.  A `Reduction` closes those loops once, by one
-LU solve (closing loops in sequence equals closing them together: the
-Redheffer star product), and each phi1 sample, alone or in a stack, then
-closes only the r ports of the loops that carry phi1: an r x r solve.  Its
+inverse of the block of the m closed ports (closing loops in sequence equals
+closing them together: the Redheffer star product), and each phi1 sample,
+alone or in a stack, then closes only the r ports of the loops that carry
+phi1: an r x r solve.  Blocks of at most two ports close in closed form (the
+adjugate over the determinant; for r = 1, a division), and LAPACK and BLAS
+serve only larger ones: their first call in a process pages in 0.3-0.8 MB of
+OpenBLAS, and every built-in netlist has m <= 2 and r <= 1.  The solve's
 1-norm condition, bounded in O(r^2) through the Woodbury identity, screens
 each sample for singularity, and only the samples it catches get the SVD
 that decides.  The truncated round-trip series is kept as an independent
@@ -280,9 +284,14 @@ class CompiledClosure:
         f, df = self.feedback(value, slope, red.K)
         p, n_open = red.perm, M_ko.shape[1]
         D = np.eye(len(p)) - _mul(red.gathered, f[..., None, :])
-        try:
-            # numpy < 2 reads a b of lower rank than the stack as vectors
-            XY = np.linalg.solve(D, np.broadcast_to(red.rhs, D.shape[:-1] + red.rhs.shape[-1:]))
+        # r = 1 and no zero pivot: the solve is a division and every product
+        # an outer one, with no LAPACK or BLAS; an overflow reaches the screen
+        tiny = len(p) == 1 and np.all(D)
+        dot = _mul if tiny else np.matmul
+        try:  # numpy < 2 reads a b of lower rank than the stack as vectors
+            with np.errstate(over="ignore", invalid="ignore"):
+                XY = red.rhs / D if tiny else np.linalg.solve(
+                    D, np.broadcast_to(red.rhs, D.shape[:-1] + red.rhs.shape[-1:]))
         except np.linalg.LinAlgError:  # a zero pivot: let the SVD decide
             self._gate_full(red, f)
             raise
@@ -290,10 +299,10 @@ class CompiledClosure:
         self._screen(red, Y, f)
         FX = _left(f, X, p)
         if df is None:
-            return M_oo + M_ok @ FX, None
+            return M_oo + dot(M_ok, FX), None
         V = _left(df, X, p)
         # one product with M_ok for S_eff and dS_eff
-        out = M_ok @ np.concatenate((FX, V + _left(f, Y @ V, p)), axis=-1)
+        out = dot(M_ok, np.concatenate((FX, V + _left(f, dot(Y, V), p)), axis=-1))
         return M_oo + out[..., :n_open], out[..., n_open:]
 
     def _screen(self, red, Y, f):
@@ -329,12 +338,13 @@ class CompiledClosure:
 class Reduction:
     """A `CompiledClosure` with every loop that misses phi1 closed, at one
     value of the other symbols.  With the ports k of the loops that carry
-    phi1 cut (F0: F without their entries), one LU inverse of B = I - S_cc F0
-    gives the device left on the open ports and k, `blocks` = (M_oo, M_ok,
-    M_ko, M_kk): M = S + S_.c F0 B^-1 S_c. on rows and columns o and k.  If
-    B misses the screen's rcond bound (`CompiledClosure._screen`), or a phase
-    without phi1 maps to an array, every loop stays open to the samples: F0 =
-    0 and M = S.  It holds what `CompiledClosure.solve` and its screen read.
+    phi1 cut (F0: F without their entries), one inverse of B = I - S_cc F0
+    (`_inv`: closed form up to 2 x 2, LU above) gives the device left on the
+    open ports and k, `blocks` = (M_oo, M_ok, M_ko, M_kk): M = S + S_.c F0
+    B^-1 S_c. on rows and columns o and k.  If B misses the screen's rcond
+    bound (`CompiledClosure._screen`), or a phase without phi1 maps to an
+    array, every loop stays open to the samples: F0 = 0 and M = S.  It holds
+    what `CompiledClosure.solve` and its screen read.
     """
 
     def __init__(self, closure: CompiledClosure, value=float):
@@ -351,14 +361,14 @@ class Reduction:
             f0[rest] = entries
             B = c._block(f0)
             try:
-                Binv = np.linalg.inv(B)
+                Binv = _inv(B)
             except np.linalg.LinAlgError:
                 continue
             if not m or 1.0 / (_norm1(B) * _norm1(Binv)) >= 100.0 * m * SINGULARITY_RCOND:
                 break
-        XY = Binv @ np.hstack((S_co, S_cc[:, K]))  # B^-1 [S_co | S_ck]
+        XY = _dot(Binv, np.hstack((S_co, S_cc[:, K])))  # B^-1 [S_co | S_ck]
         F0XY = f0[c.perm, None] * XY[c.perm]
-        self.blocks = (S_oo + S_oc @ F0XY[:, :n], S_oc[:, K] + S_oc @ F0XY[:, n:],
+        self.blocks = (S_oo + _dot(S_oc, F0XY[:, :n]), S_oc[:, K] + _dot(S_oc, F0XY[:, n:]),
                        XY[K, :n], XY[K, n:])
         self.rhs = XY[K]  # [M_ko | M_kk]
         self.f0, self.K, self.perm = f0, K, np.searchsorted(K, c.perm[K])  # perm within K
@@ -396,6 +406,32 @@ def _mul(a, b):
     one rounding, where numpy's complex product rounds differently in long
     stacks than in short ones: a sample gets the same bits in any stack."""
     return a * b.real + (1j * a) * b.imag
+
+
+def _inv(B):
+    """B^-1 for a square B; for at most 2 x 2, the reciprocal or the
+    adjugate over the determinant, which needs no LAPACK (its first call
+    pages in about 0.7 MB).  Raises LinAlgError if B is exactly singular."""
+    m = len(B)
+    if m > 2:
+        return np.linalg.inv(B)
+    if m == 2:
+        (a, b), (c, d) = B
+        adj, det = np.array([[d, -b], [-c, a]]), a * d - b * c
+    else:  # the reciprocal, or the empty inverse
+        adj, det = np.ones_like(B), B[0, 0] if m else 1.0
+    if det == 0.0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return adj / det
+
+
+def _dot(a, b):
+    """a @ b over the last two axes; for an inner size of at most 2, a sum of
+    broadcast `_mul` products, which needs no BLAS (its first complex
+    product pages in 0.3-0.4 MB)."""
+    if a.shape[-1] > 2:
+        return a @ b
+    return _mul(a[..., :, :, None], b[..., None, :, :]).sum(axis=-2)
 
 
 def _norm1(M):

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -33,9 +35,10 @@ from multiport_lab import (
     solve_phi2_for_sensitivity,
     sweep,
 )
+from multiport_lab import analysis
 from multiport_lab.analysis import _CLOSED_FORMS, MAX_GRID_POINTS, SweepCurve, resolve_device
 from multiport_lab.cli import _phi2_grid_values
-from multiport_lab.closure import CompiledClosure
+from multiport_lab.closure import CompiledClosure, Reduction
 from multiport_lab.devices import Probabilities
 from multiport_lab.netlist import BUILTIN_NETLIST_NAMES, compile_netlist
 
@@ -214,20 +217,123 @@ def test_healthy_netlist_sweeps_run_no_svd(monkeypatch):
 
 def test_one_factorization_of_the_constant_loops_per_phi2(monkeypatch):
     # every phi1 sample reuses the reduction at its phi2 (one inverse of the
-    # m x m constant block) and solves only the 1 x 1 block of its phi1 seal
-    inverted, solved = [], set()
-    inv, solve = np.linalg.inv, np.linalg.solve
-    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a.shape) or inv(a))
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solved.add(a.shape[-2:]) or solve(a, b))
+    # m x m constant block) and closes only the 1 x 1 block of its phi1 seal;
+    # blocks of at most 2 x 2 are closed in closed form, so the docs netlist
+    # never reaches np.linalg
+    reductions, calls = [], []
+    init = Reduction.__init__
+    monkeypatch.setattr(Reduction, "__init__",
+                        lambda self, *args: reductions.append(self) or init(self, *args))
+    for name in ("inv", "solve", "svd"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *args, real=real, name=name, **kwargs:
+                            calls.append((name, a.shape)) or real(a, *args, **kwargs))
     chain = netlist_device(_chain_netlist(np.random.default_rng(8), 8))
     for phi2 in (0.7, 2.0):
         sweep(chain, phi2, GridSpec(0.0, TWO_PI, 257))
-    assert inverted == [(30, 30)] * 2 and solved == {(1, 1)}
-    inverted.clear()
+    assert len(reductions) == 2 and calls == [("inv", (30, 30))] * 2
+    assert [red.blocks[3].shape for red in reductions] == [(1, 1)] * 2
+    reductions.clear()
+    calls.clear()
     docs = parse_netlist((DOCS / "grover-michelson.json").read_text())
     for phi2 in (math.pi, 0.1):
         max_sensitivity(docs, phi2)
-    assert inverted == [(2, 2)] * 2 and solved == {(1, 1)}
+    assert [red.blocks[3].shape for red in reductions] == [(1, 1)] * 2 and calls == []
+
+
+#: the answers of the engine with np.linalg on every block: the bias (phi1,
+#: slope) of the closed-form grover-michelson at two phi2, and the bias and
+#: a 5-point sweep (T, dT/dphi1) at phi2 = 0.5 of two docs netlists
+LINALG_ANSWERS = {
+    ("grover-michelson", 0.5): (5.948302347199695, -4.500351394901384),
+    ("grover-michelson", 3e-5): (6.28315530807956, -555588776.1880175),
+    "michelson.json": ((2.070796326794897, 0.49999999999999983),
+                       [0.009966711079379183, 0.3305270132319412, 0.9407910979391425,
+                        0.797549560159432, 0.14566511285436992],
+                       [-0.09933466539753058, 0.4704029195869358, 0.2360152706449412,
+                        -0.40182615550624395, -0.3527701627851958]),
+    "grover-michelson.json": ((5.948302347199695, -4.500351394901389),
+                              [0.034800108832550594, 0.1493626315176341, 0.20720414261895748,
+                               0.3013768631054628, 0.29404415133038964],
+                              [0.14279949664405553, 0.04615114174496937, 0.04199098051208294,
+                               0.12163042948358098, -3.363569515245293]),
+}
+
+
+def test_one_port_closures_run_without_linalg(monkeypatch):
+    # the phi1 seal's 1 x 1 solve and the 2 x 2 constant block both close in
+    # closed form, so no LAPACK is paged in, and the answers stay those of
+    # the np.linalg path
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg called")
+
+    for name in ("inv", "solve", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    close = lambda got, want: np.max(np.abs(np.subtract(got, want))) <= 1e-13 * np.max(np.abs(want))
+    gm = analysis._builtin_device.__wrapped__("grover-michelson")  # a fresh, uncached model
+    for phi2 in (0.5, 3e-5):
+        bp = find_bias_point(gm, phi2, 0.5)
+        assert close((bp.phi1, bp.slope), LINALG_ANSWERS[("grover-michelson", phi2)]), phi2
+    for name in ("michelson.json", "grover-michelson.json"):
+        model = netlist_device(parse_netlist((DOCS / name).read_text()))
+        (phi1, slope_), T, dT = LINALG_ANSWERS[name]
+        bp = find_bias_point(model, 0.5, 0.5)
+        assert close(bp.phi1, phi1) and close(bp.slope, slope_), name
+        curve = sweep(model, 0.5, GridSpec(0.3, 6.0, 5))
+        assert close(curve.T, T) and close(curve.dT_dphi1, dT), name
+
+
+#: kB of OpenBLAS pages mapped in before and after the searches and sweeps
+#: of the closed-form grover-michelson and the netlists named, or, with no
+#: netlist named, around one complex @, which shows that the count sees
+#: BLAS pages at all; each in a fresh process
+BLAS_PAGES = """
+import math, sys
+from pathlib import Path
+import numpy as np
+from multiport_lab import GridSpec, find_bias_point, parse_netlist, sweep
+
+def blas_kb():
+    kb, inside = 0, False
+    with open("/proc/self/smaps") as fh:
+        for line in fh:
+            head = line.split()
+            if "-" in head[0]:  # a mapping's header line
+                inside = len(head) >= 6 and "openblas" in head[5].lower()
+            elif inside and head[0] == "Rss:":
+                kb += int(head[1])
+    return kb
+
+before = blas_kb()
+if len(sys.argv) == 1:
+    np.ones((2, 2), complex) @ np.ones((2, 2), complex)
+else:
+    for phi2 in (0.5, 3e-5):
+        find_bias_point("grover-michelson", phi2, 0.5)
+    for name in sys.argv[1:]:
+        net = parse_netlist(Path(name).read_text())
+        find_bias_point(net, 0.5, 0.5)
+        sweep(net, 0.5, GridSpec(0.0, 2.0 * math.pi, 257))
+print(before, blas_kb())
+"""
+
+
+def test_one_port_closures_page_in_no_blas():
+    # the closed forms of small blocks exist to keep OpenBLAS's code out of
+    # memory: first calls of np.linalg.inv and a complex @ map in about 1 MB
+    if not Path("/proc/self/smaps").exists():
+        pytest.skip("no /proc/self/smaps")
+
+    def pages(*netlists):
+        out = subprocess.run([sys.executable, "-c", BLAS_PAGES, *netlists], capture_output=True,
+                             text=True, check=True, timeout=120).stdout
+        return tuple(map(int, out.split()))
+
+    control = pages()
+    if control[1] == control[0]:
+        pytest.skip("this numpy's OpenBLAS pages are not visible in smaps")
+    before, after = pages(*(str(DOCS / name) for name in ("michelson.json", "grover-michelson.json")))
+    assert after == before
 
 
 PHI1_PHASES = ("2*phi1", "-(phi1+pi/2)/3", "phi1*phi2", "phi1/3", "phi1")
@@ -832,6 +938,15 @@ def test_moderate_target_bisected():
 
 def test_steep_target_needs_small_phi2():
     assert solve_phi2_for_sensitivity(1e3) < 0.1
+
+
+@pytest.mark.parametrize("target", [10.0, 1e3, 1e6, 1e9, 1e11])
+def test_target_is_met_to_relative_precision(target):
+    # bisection in log phi2: the result meets the target and a relative
+    # 1e-9 more does not, from a slope of 10 to one of 1e11 (phi2 ~ 2.5e-6)
+    p2 = solve_phi2_for_sensitivity(target)
+    assert max_sensitivity("grover-michelson", p2)[1] >= target
+    assert max_sensitivity("grover-michelson", p2 * (1.0 + 1e-9))[1] < target
 
 
 def test_target_must_be_positive():

@@ -576,3 +576,82 @@ def test_constant_loops_that_trap_a_bound_state_raise_the_full_message():
         assert np.all(rcond < SINGULARITY_RCOND), trial
         assert raised_message(closure, phi1) == gate_message(closure, rcond), trial
         assert raised_message(closure, phi1[3]) == gate_message(closure, rcond[3:4]), trial
+
+
+# --- blocks of at most two closed ports -----------------------------------------
+
+def linalg_blocks(closure, reduced):
+    """`Reduction.blocks` by np.linalg.inv and @ on the dense F0 of `reduced`:
+    M = S + S_.c F0 B^-1 S_c. on rows and columns o and k."""
+    S_oo, S_oc, S_co, S_cc = closure.blocks
+    K, n = reduced.K, len(closure.labels)
+    F0 = np.zeros((len(closure.closed),) * 2, dtype=complex)
+    F0[closure.perm, np.arange(len(F0))] = reduced.f0
+    XY = np.linalg.inv(np.eye(len(F0)) - S_cc @ F0) @ np.hstack((S_co, S_cc[:, K]))
+    F0XY = F0 @ XY
+    return (S_oo + S_oc @ F0XY[:, :n], S_oc[:, K] + S_oc @ F0XY[:, n:], XY[K, :n], XY[K, n:])
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_tiny_blocks_match_the_linalg_path_on_random_networks(m):
+    # one phi1 seal (r = 1), and for m = 2 a constant seal beside it: B is
+    # 1 x 1 or 2 x 2 and closes in closed form, D is 1 x 1 and divides
+    rng = np.random.default_rng(20261024 + m)
+    for trial in range(8):
+        S = random_unitary(int(rng.integers(m + 1, 6)), int(rng.integers(1 << 30)))
+        ports = [str(p) for p in rng.permutation(S.port_labels)]
+        phases = [str(rng.choice(CARRIER_PHASES))] + [str(rng.choice(CONSTANT_PHASES))] * (m - 1)
+        seals = [Termination(p, PhaseExpr.parse(ph), bool(rng.integers(0, 2)))
+                 for p, ph in zip(ports, phases)]
+        closure = CompiledClosure(S, seals)
+        phi2 = float(rng.uniform(0.0, 2.0 * np.pi))
+        reduced = closure.reduction({"phi2": phi2})
+        assert len(closure.closed) == m and reduced.blocks[3].shape == (1, 1)
+        for got, want in zip(reduced.blocks, linalg_blocks(closure, reduced)):
+            scale = max(1.0, np.max(np.abs(want)))
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-15 * scale, trial
+        b = {"phi1": rng.uniform(0.0, 2.0 * np.pi, 41), "phi2": phi2}
+        got, dgot = closure.solve(lambda p: p.evaluate(b),
+                                  lambda p: p.derivative("phi1", b), reduced)
+        for i, x in enumerate(b["phi1"]):
+            want, dwant = reference_solve(S, seals, [], closure.labels, {**b, "phi1": float(x)})
+            assert np.max(np.abs(got[i] - want)) <= 1e-14 * np.max(np.abs(want)), trial
+            assert np.max(np.abs(dgot[i] - dwant)) <= 1e-13 * np.max(np.abs(dwant)), trial
+
+
+def lone_reflector(phase, carrier):
+    """A random 3-port beside a 1-port that reflects with -1, which a mirror
+    of `phase` seals; the 3-port's p1 is sealed by a mirror of `carrier`."""
+    S = block_diag(random_unitary(3, 7), ScatteringMatrix(np.array([[-1.0 + 0.0j]])))
+    return CompiledClosure(S, [Termination("A.p1", PhaseExpr.parse(carrier)),
+                               Termination("B.p1", PhaseExpr.parse(phase))])
+
+
+def test_an_exactly_singular_two_port_block_leaves_every_loop_open():
+    # the reflector's mirror at phase 0 puts 1 - (-1)(-1) = 0 on B's diagonal,
+    # where LAPACK's LU meets a zero pivot too
+    closure = lone_reflector("0", "phi1")
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(closure._block(np.array([0.0, -1.0 + 0.0j])))
+    assert closure.reduction({}).blocks[3].shape == (2, 2)
+    phi1 = np.array([0.3, 1.0, 2.5])
+    _, rcond = reference_gate(closure, lambda p: p.evaluate({"phi1": phi1}))
+    assert np.all(rcond < SINGULARITY_RCOND)
+    assert raised_message(closure, phi1) == gate_message(closure, rcond)
+    assert raised_message(closure, phi1[1]) == gate_message(closure, rcond[1:2])
+
+
+def test_a_zero_pivot_of_the_one_port_solve_goes_to_the_svd_gate(monkeypatch):
+    # phi1 seals the reflector: D = 1 - M_kk f is exactly 0 at phi1 = 0
+    verified = []
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs:
+                        verified.append(a.shape) or REFERENCE_SVD(a, *args, **kwargs))
+    closure = lone_reflector("phi1", "1.25")
+    assert closure.reduction({}).blocks[3].tolist() == [[-1.0]]
+    phi1 = np.array([0.3, 0.0, 2.5])
+    _, rcond = reference_gate(closure, lambda p: p.evaluate({"phi1": phi1}))
+    assert rcond[1] == 0.0 and min(rcond[0], rcond[2]) > SINGULARITY_RCOND
+    for x, want in ((phi1, rcond), (0.0, rcond[1:2]), (0.3, rcond[:1])):
+        verified.clear()
+        assert raised_message(closure, x) == gate_message(closure, want)
+        assert bool(verified) == (gate_message(closure, want) is not None)
