@@ -114,12 +114,9 @@ def netlist_device(netlist: Netlist, device_id: str = "netlist") -> DeviceModel:
         flat = grid.reshape(-1)
         out = np.empty((3 if slope else 2, flat.size))
         closure = compiled()
-        reduced = closure.reduction({"phi2": float(phi2)})
-        stack = reduced.stack_size
+        stack = closure.reduction({"phi2": float(phi2)}).stack_size
         for at in range(0, flat.size, stack):
-            b = {"phi1": flat[at:at + stack], "phi2": float(phi2)}
-            S, dS = closure.solve(lambda p: p.evaluate(b),
-                                  (lambda p: p.derivative("phi1", b)) if slope else None, reduced)
+            S, dS = closure.solve({"phi1": flat[at:at + stack], "phi2": float(phi2)}, slope)
             # |s_i0|^2 and Re(conj(s_i0) ds_i0) in real arithmetic, which
             # rounds alike in every SIMD lane
             re, im = S[..., :, 0].real, S[..., :, 0].imag

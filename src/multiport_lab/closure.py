@@ -14,10 +14,11 @@ phase misses phi1 is constant.  A `Reduction` closes those loops once, by one
 inverse of the block of the m closed ports (closing loops in sequence equals
 closing them together: the Redheffer star product), and each phi1 sample,
 alone or in a stack, then closes only the r ports of the loops that carry
-phi1: an r x r solve.  Blocks of at most two ports close in closed form (the
-adjugate over the determinant; for r = 1, a division), and LAPACK and BLAS
-serve only larger ones: their first call in a process pages in 0.3-0.8 MB of
-OpenBLAS, and every built-in netlist has m <= 2 and r <= 1.  The solve's
+phi1: an r x r solve.  Both go through `_solve`, which closes blocks of at
+most two ports in closed form (the adjugate over the determinant; for one
+port, a division), so a phi1 seal or link needs no LAPACK or BLAS, whose
+first call in a process pages in 0.3-0.8 MB of OpenBLAS; the link form of
+docs/netlists still solves its 4-port constant block by LU.  The solve's
 1-norm condition, bounded in O(r^2) through the Woodbury identity, screens
 each sample for singularity, and only the samples it catches get the SVD
 that decides.  The truncated round-trip series is kept as an independent
@@ -154,7 +155,7 @@ class CompiledClosure:
     given seals and links, to be solved at many phase values.
 
     Phases may be numbers or expressions; those without a free symbol are
-    evaluated here, once, the others by `value` per solve.  Open ports keep
+    evaluated here, once, the others at each call's bindings.  Open ports keep
     device order unless `open_ports` orders them.  F has one entry per
     column, F[perm[c], c] = f[c] (a seal's on the diagonal, a link's two
     swapped across it), so products with F permute and scale (`_left`, and
@@ -176,7 +177,7 @@ class CompiledClosure:
             self.perm[k], self._owner[k] = k[::-1], i
         self._gathered = self.blocks[3][:, self.perm]
         self._sign, self._share = (np.array([loop[j] for loop in self.loops]) for j in (1, 2))
-        # loops whose phase `value` maps per solve; the others' radians, once
+        # loops whose phase is evaluated per call; the others' radians, once
         phases = [loop[3] for loop in self.loops]
         self._varying = [i for i, p in enumerate(phases)
                          if isinstance(p, PhaseExpr) and p.free_symbols]
@@ -186,40 +187,40 @@ class CompiledClosure:
                                 for i, p in enumerate(phases)])
         self._reduced = None  # (bindings, Reduction) of the last `reduction`
 
-    def feedback(self, value=float, slope=None, ports=None):
-        """Entries f of the feedback matrix F and, when `slope` maps a phase
-        to its phi1-derivative, those of dF/dphi1 (else None), for the
-        closed ports `ports` (default all) in that order.  `value` and
-        `slope` see only the phases with a free symbol (the others keep
-        their value and slope 0); arrays they return lead f and df as batch
-        axes: (..., m) for m ports.
+    def feedback(self, bindings=None, slope=False, ports=None):
+        """Entries f of the feedback matrix F at `bindings` (symbol ->
+        number; phi1 may be an array) and, if `slope`, those of dF/dphi1
+        (else None), for the closed ports `ports` (default all) in that
+        order.  Each port evaluates the phase of its loop if it has a free
+        symbol (the others keep their value and slope 0); arrays lead f and
+        df as batch axes: (..., m) for m ports.
         """
-        # no np.unique: sorting pages in ~0.7 MB of SIMD sort code
-        owners = (self._owner if ports is None else self._owner[ports]).tolist()
-        loops = sorted(set(owners))
-        owner = [loops.index(i) for i in owners]
-        varying = [i in self._varying for i in loops]
+        owner = (self._owner if ports is None else self._owner[ports]).tolist()
+        varying = [self.loops[i][3] if i in self._varying else None for i in owner]
 
-        def per_loop(of, constant):  # (..., loops)
-            if not any(varying):
+        def per_port(of, constant):  # (..., ports)
+            if not any(p is not None for p in varying):
                 return constant
-            values = [of(self.loops[i][3]) if v else c for i, v, c in zip(loops, varying, constant)]
+            values = [c if p is None else of(p) for p, c in zip(varying, constant)]
             return np.stack(np.broadcast_arrays(*values), -1)
 
         # products with a purely real or imaginary factor are exact up to one
         # rounding, so a sample gets the same bits alone or stacked
-        share = self._share[loops]
-        amp = self._sign[loops] * np.exp(1j * (share * per_loop(value, self._phase[loops])))
-        if slope is None:
-            return amp[..., owner], None
-        return amp[..., owner], (1j * (share * per_loop(slope, np.zeros(len(loops)))) * amp)[..., owner]
+        share = self._share[owner]
+        amp = self._sign[owner] * np.exp(1j * (share * per_port(
+            lambda p: p.evaluate(bindings), self._phase[owner])))
+        if not slope:
+            return amp, None
+        return amp, 1j * (share * per_port(lambda p: p.derivative("phi1", bindings),
+                                           np.zeros(len(owner)))) * amp
 
-    def reduction(self, bindings: Mapping[str, float]) -> "Reduction":
+    def reduction(self, bindings: Optional[Mapping[str, float]] = None) -> "Reduction":
         """The `Reduction` at `bindings` of the symbols other than phi1, all
         numbers.  The last one is kept, so calls at one phi2 share it."""
+        bindings = bindings or {}
         key = sorted((k, float(v)) for k, v in bindings.items() if k != "phi1")
         if self._reduced is None or self._reduced[0] != key:
-            self._reduced = key, Reduction(self, lambda p: p.evaluate(bindings))
+            self._reduced = key, Reduction(self, bindings)
         return self._reduced[1]
 
     def phi1_pole(self, bindings: Mapping[str, float]
@@ -255,54 +256,49 @@ class CompiledClosure:
         """A = I - S_cc F for the feedback entries f."""
         return np.eye(len(self.closed)) - self._gathered * f[..., None, :]
 
-    def condition(self, value=float) -> float:
+    def condition(self, bindings=None) -> float:
         """2-norm condition number of I - S_cc F at one phase sample (one
         SVD); 1.0 if nothing is closed."""
         if not self.closed:
             return 1.0
-        f, _ = self.feedback(value)
+        f, _ = self.feedback(bindings)
         return float(1.0 / _rcond(self._block(f)))
 
-    def solve(self, value=float, slope=None, reduced: Optional["Reduction"] = None):
-        """(S_eff, dS_eff/dphi1 or None) for the phases that `value` and
-        `slope` map as in `feedback`, closing only the loops that carry phi1
-        on `reduced` (by default the `Reduction` at `value`).
+    def solve(self, bindings=None, slope=False):
+        """(S_eff, dS_eff/dphi1 if `slope`, else None) at `bindings` as in
+        `feedback`, closing only the loops that carry phi1 on the
+        `reduction` at `bindings`.
 
         With D = I - M_kk F and X = D^-1 M_ko, S_eff = M_oo + M_ok F X, and
         the resolvent identity gives dS_eff = M_ok (I - F M_kk)^-1 dF X =
-        M_ok (I + F Y) dF X, with Y = D^-1 M_kk from X's solve.  Array-valued
-        phases are one stack over their batch axes, which lead every result;
-        each sample gets the same bits alone as in any stack.  The gate
-        raises SingularClosureError, with the worst 2-norm rcond, if any
-        sample's is below SINGULARITY_RCOND; it runs an SVD only on samples
-        that `_screen` catches, or on all if the LU meets a zero pivot.
+        M_ok (I + F Y) dF X, with Y = D^-1 M_kk from X's solve (`_solve`:
+        closed form for r <= 2).  An array phi1 is one stack over its batch
+        axes, which lead every result; each sample gets the same bits alone
+        as in any stack.  The gate raises SingularClosureError, with the
+        worst 2-norm rcond, if any sample's is below SINGULARITY_RCOND; it
+        runs an SVD only on samples that `_screen` catches, or on all if a
+        block of the stack is exactly singular.
         """
-        red = Reduction(self, value) if reduced is None else reduced
+        red = self.reduction(bindings)
         M_oo, M_ok, M_ko, _ = red.blocks
         if not red.K.size:
-            return M_oo, None if slope is None else np.zeros_like(M_oo)
-        f, df = self.feedback(value, slope, red.K)
+            return M_oo, np.zeros_like(M_oo) if slope else None
+        f, df = self.feedback(bindings, slope, red.K)
         p, n_open = red.perm, M_ko.shape[1]
         D = np.eye(len(p)) - _mul(red.gathered, f[..., None, :])
-        # r = 1 and no zero pivot: the solve is a division and every product
-        # an outer one, with no LAPACK or BLAS; an overflow reaches the screen
-        tiny = len(p) == 1 and np.all(D)
-        dot = _mul if tiny else np.matmul
-        try:  # numpy < 2 reads a b of lower rank than the stack as vectors
-            with np.errstate(over="ignore", invalid="ignore"):
-                XY = red.rhs / D if tiny else np.linalg.solve(
-                    D, np.broadcast_to(red.rhs, D.shape[:-1] + red.rhs.shape[-1:]))
-        except np.linalg.LinAlgError:  # a zero pivot: let the SVD decide
+        try:
+            XY = _solve(D, red.rhs)
+        except np.linalg.LinAlgError:  # an exactly singular block: let the SVD decide
             self._gate_full(red, f)
             raise
         X, Y = XY[..., :n_open], XY[..., n_open:]
         self._screen(red, Y, f)
         FX = _left(f, X, p)
         if df is None:
-            return M_oo + dot(M_ok, FX), None
+            return M_oo + _dot(M_ok, FX), None
         V = _left(df, X, p)
         # one product with M_ok for S_eff and dS_eff
-        out = dot(M_ok, np.concatenate((FX, V + _left(f, dot(Y, V), p)), axis=-1))
+        out = _dot(M_ok, np.concatenate((FX, V + _left(f, _dot(Y, V), p)), axis=-1))
         return M_oo + out[..., :n_open], out[..., n_open:]
 
     def _screen(self, red, Y, f):
@@ -336,18 +332,18 @@ class CompiledClosure:
 
 
 class Reduction:
-    """A `CompiledClosure` with every loop that misses phi1 closed, at one
-    value of the other symbols.  With the ports k of the loops that carry
-    phi1 cut (F0: F without their entries), one inverse of B = I - S_cc F0
-    (`_inv`: closed form up to 2 x 2, LU above) gives the device left on the
-    open ports and k, `blocks` = (M_oo, M_ok, M_ko, M_kk): M = S + S_.c F0
-    B^-1 S_c. on rows and columns o and k.  If B misses the screen's rcond
-    bound (`CompiledClosure._screen`), or a phase without phi1 maps to an
-    array, every loop stays open to the samples: F0 = 0 and M = S.  It holds
-    what `CompiledClosure.solve` and its screen read.
+    """A `CompiledClosure` with every loop that misses phi1 closed, at
+    `bindings` of the other symbols, all numbers.  With the ports k of the
+    loops that carry phi1 cut (F0: F without their entries), one inverse of
+    B = I - S_cc F0 (`_solve(B, I)`: closed form up to 2 x 2, LU above)
+    gives the device left on the open ports and k, `blocks` = (M_oo, M_ok,
+    M_ko, M_kk): M = S + S_.c F0 B^-1 S_c. on rows and columns o and k.  If
+    B misses the screen's rcond bound (`CompiledClosure._screen`), every
+    loop stays open to the samples: F0 = 0 and M = S.  It holds what
+    `CompiledClosure.solve` and its screen read.
     """
 
-    def __init__(self, closure: CompiledClosure, value=float):
+    def __init__(self, closure: CompiledClosure, bindings: Mapping[str, float]):
         c = closure
         S_oo, S_oc, S_co, S_cc = c.blocks
         m, n = len(c.closed), len(c.labels)
@@ -355,13 +351,10 @@ class Reduction:
             cut = np.array([i in loops for i in c._owner.tolist()], dtype=bool)
             K, rest = np.flatnonzero(cut), np.flatnonzero(~cut)
             f0, r = np.zeros(m, dtype=complex), len(K)
-            entries, _ = c.feedback(value, ports=rest)
-            if entries.ndim > 1:  # varies along a stack
-                continue
-            f0[rest] = entries
+            f0[rest], _ = c.feedback(bindings, ports=rest)
             B = c._block(f0)
             try:
-                Binv = _inv(B)
+                Binv = _solve(B, np.eye(m))
             except np.linalg.LinAlgError:
                 continue
             if not m or 1.0 / (_norm1(B) * _norm1(Binv)) >= 100.0 * m * SINGULARITY_RCOND:
@@ -408,21 +401,26 @@ def _mul(a, b):
     return a * b.real + (1j * a) * b.imag
 
 
-def _inv(B):
-    """B^-1 for a square B; for at most 2 x 2, the reciprocal or the
-    adjugate over the determinant, which needs no LAPACK (its first call
-    pages in about 0.7 MB).  Raises LinAlgError if B is exactly singular."""
-    m = len(B)
-    if m > 2:
-        return np.linalg.inv(B)
+def _solve(A, b):
+    """A^-1 b for each block of the stack A.  A block of at most two ports
+    is closed in closed form, the reciprocal or the adjugate over a `_mul`
+    determinant, which needs no LAPACK (its first call pages in about 0.7
+    MB) and gives a block the same bits alone as in any stack; larger ones
+    go to np.linalg.solve.  Raises LinAlgError if a block is exactly
+    singular; an overflow gives inf or nan, with no warning."""
+    m = A.shape[-1]
+    if m > 2:  # numpy < 2 reads a b of lower rank than the stack as vectors
+        return np.linalg.solve(A, np.broadcast_to(b, A.shape[:-1] + b.shape[-1:]))
     if m == 2:
-        (a, b), (c, d) = B
-        adj, det = np.array([[d, -b], [-c, a]]), a * d - b * c
-    else:  # the reciprocal, or the empty inverse
-        adj, det = np.ones_like(B), B[0, 0] if m else 1.0
-    if det == 0.0:
+        (w, x), (y, z) = np.moveaxis(A, (-2, -1), (0, 1))
+        det = _mul(w, z) - _mul(x, y)
+        b = _dot(np.moveaxis(np.array([[z, -x], [-y, w]]), (0, 1), (-2, -1)), b)
+    else:  # the reciprocal, or the empty solve
+        det = A[..., 0, 0] if m else np.ones(A.shape[:-2])
+    if not np.all(det):
         raise np.linalg.LinAlgError("Singular matrix")
-    return adj / det
+    with np.errstate(over="ignore", invalid="ignore"):
+        return b / det[..., None, None]
 
 
 def _dot(a, b):

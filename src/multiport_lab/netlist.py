@@ -355,9 +355,8 @@ def close_netlist(netlist: Netlist,
     `netlist.open_ports` order.
     """
     closure = compile_netlist(netlist)
-    value = lambda phase: phase.evaluate(bindings)
-    effective, _ = closure.solve(value)
-    return ClosedDevice(ScatteringMatrix(effective, closure.labels), closure.condition(value))
+    effective, _ = closure.solve(bindings)
+    return ClosedDevice(ScatteringMatrix(effective, closure.labels), closure.condition(bindings))
 
 
 # --- built-in topologies ---------------------------------------------------

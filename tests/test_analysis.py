@@ -216,10 +216,10 @@ def test_healthy_netlist_sweeps_run_no_svd(monkeypatch):
 
 
 def test_one_factorization_of_the_constant_loops_per_phi2(monkeypatch):
-    # every phi1 sample reuses the reduction at its phi2 (one inverse of the
-    # m x m constant block) and closes only the 1 x 1 block of its phi1 seal;
-    # blocks of at most 2 x 2 are closed in closed form, so the docs netlist
-    # never reaches np.linalg
+    # every phi1 sample reuses the reduction at its phi2 (one solve of the
+    # m x m constant block against I) and closes only the 1 x 1 block of its
+    # phi1 seal; blocks of at most 2 x 2 are closed in closed form, so the
+    # docs netlist never reaches np.linalg
     reductions, calls = [], []
     init = Reduction.__init__
     monkeypatch.setattr(Reduction, "__init__",
@@ -231,7 +231,7 @@ def test_one_factorization_of_the_constant_loops_per_phi2(monkeypatch):
     chain = netlist_device(_chain_netlist(np.random.default_rng(8), 8))
     for phi2 in (0.7, 2.0):
         sweep(chain, phi2, GridSpec(0.0, TWO_PI, 257))
-    assert len(reductions) == 2 and calls == [("inv", (30, 30))] * 2
+    assert len(reductions) == 2 and calls == [("solve", (30, 30))] * 2
     assert [red.blocks[3].shape for red in reductions] == [(1, 1)] * 2
     reductions.clear()
     calls.clear()
@@ -260,27 +260,67 @@ LINALG_ANSWERS = {
 }
 
 
-def test_one_port_closures_run_without_linalg(monkeypatch):
-    # the phi1 seal's 1 x 1 solve and the 2 x 2 constant block both close in
-    # closed form, so no LAPACK is paged in, and the answers stay those of
-    # the np.linalg path
+def _refuse_linalg(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg called")
 
     for name in ("inv", "solve", "svd"):
         monkeypatch.setattr(np.linalg, name, refuse)
-    close = lambda got, want: np.max(np.abs(np.subtract(got, want))) <= 1e-13 * np.max(np.abs(want))
+
+
+def _close(got, want):
+    return np.max(np.abs(np.subtract(got, want))) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_one_port_closures_run_without_linalg(monkeypatch):
+    # the phi1 seal's 1 x 1 solve and the 2 x 2 constant block both close in
+    # closed form, so no LAPACK is paged in, and the answers stay those of
+    # the np.linalg path
+    _refuse_linalg(monkeypatch)
     gm = analysis._builtin_device.__wrapped__("grover-michelson")  # a fresh, uncached model
     for phi2 in (0.5, 3e-5):
         bp = find_bias_point(gm, phi2, 0.5)
-        assert close((bp.phi1, bp.slope), LINALG_ANSWERS[("grover-michelson", phi2)]), phi2
+        assert _close((bp.phi1, bp.slope), LINALG_ANSWERS[("grover-michelson", phi2)]), phi2
     for name in ("michelson.json", "grover-michelson.json"):
         model = netlist_device(parse_netlist((DOCS / name).read_text()))
         (phi1, slope_), T, dT = LINALG_ANSWERS[name]
         bp = find_bias_point(model, 0.5, 0.5)
-        assert close(bp.phi1, phi1) and close(bp.slope, slope_), name
+        assert _close(bp.phi1, phi1) and _close(bp.slope, slope_), name
         curve = sweep(model, 0.5, GridSpec(0.3, 6.0, 5))
-        assert close(curve.T, T) and close(curve.dT_dphi1, dT), name
+        assert _close(curve.T, T) and _close(curve.dT_dphi1, dT), name
+
+
+#: the answers of the engine with np.linalg on the 2 x 2 phi1 block of
+#: `_link_netlist(28)`: the bias (phi1, slope) and a 5-point sweep (T,
+#: dT/dphi1) at phi2 = 0.5
+LINK_ANSWERS = ((5.644480615013277, -1.075219902606858),
+                [0.0061532113136861, 0.03344814515438075, 0.14187374707335232,
+                 0.6814370750956275, 0.22093552919271978],
+                [0.002624892607280096, 0.038015093930393484, 0.13911122401643838,
+                 0.7946836035058645, -0.5097542791424137])
+
+
+def _link_netlist(seed):
+    """A Haar-random 4-port whose only loop is a link of p3 and p4 with
+    round-trip phase phi1 + phi2: m = r = 2."""
+    u = _random_unitary(np.random.default_rng(seed), 4)
+    doc = {"devices": [{"id": "u", "kind": "matrix",
+                        "matrix": [[[z.real, z.imag] for z in row] for row in u]}],
+           "links": [{"port_a": "u.p3", "port_b": "u.p4", "round_trip_phase": "phi1 + phi2"}],
+           "open_ports": ["u.p1", "u.p2"]}
+    return parse_netlist(json.dumps(doc))
+
+
+def test_a_phi1_link_closes_without_linalg(monkeypatch):
+    # the link's 2 x 2 block closes by its adjugate, stacked or alone
+    _refuse_linalg(monkeypatch)
+    model = netlist_device(_link_netlist(28))
+    assert model.closure().reduction({"phi2": 0.5}).blocks[3].shape == (2, 2)
+    (phi1, slope_), T, dT = LINK_ANSWERS
+    bp = find_bias_point(model, 0.5, 0.5)
+    assert _close(bp.phi1, phi1) and _close(bp.slope, slope_)
+    curve = sweep(model, 0.5, GridSpec(0.3, 6.0, 5))
+    assert _close(curve.T, T) and _close(curve.dT_dphi1, dT)
 
 
 #: kB of OpenBLAS pages mapped in before and after the searches and sweeps
@@ -508,6 +548,18 @@ def _dense_max_abs_slope(dT, spans):
             fine = np.linspace(x[k] - pitch, x[k] + pitch, 2001)
             best = max(best, float(np.max(np.abs(dT(fine)))))
     return best
+
+
+@pytest.mark.parametrize("count", [2, 3, 64, 65])
+def test_log_edges_grid_is_the_sorted_edges_bit_for_bit(count):
+    # the upper edge falls to pi, so reversing it sorts it
+    grid = GridSpec(1e-5, TWO_PI - 1e-5, count)
+    k_left = (count + 1) // 2
+    left = np.geomspace(grid.start, math.pi, k_left).tolist()
+    right = (TWO_PI - np.geomspace(TWO_PI - grid.stop, math.pi, count - k_left + 1))[:-1]
+    want = left + sorted(right.tolist())
+    got = _phi2_grid_values(grid, "log-edges")
+    assert got.tobytes() == np.array(want).tobytes() and want == sorted(want)
 
 
 def test_default_sensitivity_grid_reaches_the_global_maximum():

@@ -29,7 +29,7 @@ from multiport_lab import (
     parse_netlist,
     seal_ports,
 )
-from multiport_lab.closure import SINGULARITY_RCOND, CompiledClosure, Reduction
+from multiport_lab.closure import SINGULARITY_RCOND, CompiledClosure, Reduction, _solve
 from multiport_lab.netlist import close_netlist, combined_matrix
 from multiport_lab.phase_expr import PhaseExpr
 
@@ -304,8 +304,7 @@ def test_stacked_solve_matches_a_per_sample_loop_on_random_networks():
         # not a multiple of the stack size the grid would be chunked by
         phi1 = rng.uniform(0.0, 2.0 * np.pi, 2 * closure.reduction({}).stack_size + 37)
         bindings = {"phi1": phi1, "phi2": float(rng.uniform(0.0, 2.0 * np.pi))}
-        got, dgot = closure.solve(lambda p: p.evaluate(bindings),
-                                  lambda p: p.derivative("phi1", bindings))
+        got, dgot = closure.solve(bindings, True)
         # a network whose phases all miss phi1 gives one unbatched answer
         shape = phi1.shape + (len(closure.labels),) * 2
         got, dgot = np.broadcast_to(got, shape), np.broadcast_to(dgot, shape)
@@ -316,21 +315,20 @@ def test_stacked_solve_matches_a_per_sample_loop_on_random_networks():
             assert np.max(np.abs(dgot[i] - dwant)) <= 1e-12 * np.max(np.abs(dwant)), trial
 
 
-def test_constant_phases_are_evaluated_once():
+def test_constant_phases_are_evaluated_once(monkeypatch):
     S = random_unitary(6, 4)
     seals = [Termination("p1", PhaseExpr.parse("phi1")), Termination("p2", PhaseExpr.parse("pi/5")),
              Termination("p3", 1.25)]
     closure = CompiledClosure(S, seals, [Link("p4", "p5", PhaseExpr.parse("-(1+pi)/3"))])
     seen = []
-
-    def value(p):
-        seen.append(p)
-        return p.evaluate({"phi1": 0.3})
-
-    closure.solve(value, lambda p: seen.append(p) or p.derivative("phi1", {"phi1": 0.3}))
+    for name in ("evaluate", "derivative"):
+        real = getattr(PhaseExpr, name)
+        monkeypatch.setattr(PhaseExpr, name, lambda self, *args, real=real:
+                            seen.append(self) or real(self, *args))
+    closure.solve({"phi1": 0.3}, True)
     assert seen == [seals[0].round_trip_phase] * 2
     # the constants keep the bits a per-solve evaluation gave them
-    f, df = closure.feedback(value, lambda p: 1.0)
+    f, df = closure.feedback({"phi1": 0.3}, True)
     assert f[2] == -np.exp(1j * 1.25) and f[3] == np.exp(0.5j * PhaseExpr.parse("-(1+pi)/3").evaluate())
     assert df[0] == 1j * f[0] and not np.any(df[1:])
 
@@ -342,9 +340,9 @@ def test_one_singular_sample_stops_the_stack_with_the_scalar_message():
         Termination("p3", 0.0)])
     phi1 = np.array([0.3, 1.0, 0.0, 2.0, 2.5])
     with pytest.raises(SingularClosureError) as alone:
-        closure.solve(lambda p: p.evaluate({"phi1": 0.0}) if isinstance(p, PhaseExpr) else p)
+        closure.solve({"phi1": 0.0})
     with pytest.raises(SingularClosureError) as stacked:
-        closure.solve(lambda p: p.evaluate({"phi1": phi1}) if isinstance(p, PhaseExpr) else p)
+        closure.solve({"phi1": phi1})
     assert str(stacked.value) == str(alone.value)
     assert "['p1', 'p2', 'p3']" in str(stacked.value)
 
@@ -354,11 +352,11 @@ def test_one_singular_sample_stops_the_stack_with_the_scalar_message():
 REFERENCE_SVD = np.linalg.svd
 
 
-def reference_gate(closure, value):
+def reference_gate(closure, bindings):
     """The SVD gate kept as the reference: I - S_cc F for every sample of the
-    stack, from the closure's feedback entries (F[perm[c], c] = f[c]), and
-    the 2-norm rcond of each."""
-    f, _ = closure.feedback(value)
+    stack at `bindings`, from the closure's feedback entries (F[perm[c], c]
+    = f[c]), and the 2-norm rcond of each."""
+    f, _ = closure.feedback(bindings)
     A = np.eye(len(closure.closed)) - closure.blocks[3][:, closure.perm] * f[..., None, :]
     sv = REFERENCE_SVD(A, compute_uv=False)
     return A, sv[..., -1] / np.where(sv[..., 0] > 0.0, sv[..., 0], np.inf)
@@ -375,7 +373,7 @@ def gate_message(closure, rcond):
 
 def raised_message(closure, phi1):
     try:
-        closure.solve(lambda p: p.evaluate({"phi1": phi1}))
+        closure.solve({"phi1": phi1})
     except SingularClosureError as err:
         return str(err)
     return None
@@ -406,7 +404,7 @@ def trapping_closure(rng, exact):
     seals += [Termination(p, constant()) for p in inner_ports[1 + 2 * n_inner:]]
     seals.append(Termination(inner_ports[0], PhaseExpr.parse("phi1")))
     closure = CompiledClosure(S, seals, links)
-    d1, dm1 = (np.linalg.det(reference_gate(closure, lambda p: p.evaluate({"phi1": x}))[0])
+    d1, dm1 = (np.linalg.det(reference_gate(closure, {"phi1": x})[0])
                for x in (0.0, np.pi))
     return closure, float(np.angle(-(d1 + dm1) / (d1 - dm1)))
 
@@ -430,7 +428,7 @@ def test_screened_gate_decides_like_the_svd_gate(monkeypatch):
         offsets = 10.0 ** -np.arange(5.0, 17.01, 0.25)
         ulps = pole + np.arange(-2, 3) * np.spacing(pole)
         phi1 = np.sort(np.concatenate((pole - offsets, ulps, pole + offsets)))
-        A, rcond = reference_gate(closure, lambda p: p.evaluate({"phi1": phi1}))
+        A, rcond = reference_gate(closure, {"phi1": phi1})
         rconds.append(rcond)
         rcond1 = 1.0 / np.linalg.cond(A, 1)  # no SVD: inf for a singular block
         exactly_singular += int(np.sum(rcond1 == 0.0))
@@ -514,8 +512,8 @@ def test_reduced_closure_matches_the_reference_solve(case):
         reduced = closure.reduction({"phi2": phi2})
         assert reduced.blocks[3].shape == ((r, r) if r else (len(closure.closed),) * 2)
         b = {"phi1": rng.uniform(0.0, 2.0 * np.pi, 41), "phi2": phi2}
-        got = probabilities_and_slope(*closure.solve(lambda p: p.evaluate(b),
-                                                     lambda p: p.derivative("phi1", b), reduced))
+        assert closure.reduction(b) is reduced  # the one that `solve` reads
+        got = probabilities_and_slope(*closure.solve(b, True))
         want = np.transpose([probabilities_and_slope(*reference_solve(
             S, seals, links, open_ports, {**b, "phi1": float(x)})) for x in b["phi1"]])
         for g, w in zip(got, want):
@@ -537,9 +535,9 @@ def test_screen_bounds_the_inverse_and_has_the_exact_norm(case, monkeypatch):
         closure = CompiledClosure(S, seals, links, open_ports)
         b = {"phi1": rng.uniform(0.0, 2.0 * np.pi, 200), "phi2": float(rng.uniform(0.0, 2.0 * np.pi))}
         seen.clear()
-        closure.solve(lambda p: p.evaluate(b))
+        closure.solve(b)
         (norm, bound), = seen
-        A, _ = reference_gate(closure, lambda p: p.evaluate(b))
+        A, _ = reference_gate(closure, b)
         want = np.linalg.norm(A, 1, axis=(-2, -1))
         assert np.max(np.abs(norm - want) / want) <= 1e-13, (case, trial)
         exact = np.linalg.norm(np.linalg.inv(A), 1, axis=(-2, -1))
@@ -572,51 +570,63 @@ def test_constant_loops_that_trap_a_bound_state_raise_the_full_message():
         # stays open to the samples
         assert closure.reduction({}).blocks[3].shape == (4, 4), trial
         phi1 = rng.uniform(0.0, 2.0 * np.pi, 7)
-        _, rcond = reference_gate(closure, lambda p: p.evaluate({"phi1": phi1}))
+        _, rcond = reference_gate(closure, {"phi1": phi1})
         assert np.all(rcond < SINGULARITY_RCOND), trial
         assert raised_message(closure, phi1) == gate_message(closure, rcond), trial
         assert raised_message(closure, phi1[3]) == gate_message(closure, rcond[3:4]), trial
 
 
-# --- blocks of at most two closed ports -----------------------------------------
+# --- the small-block kernel ------------------------------------------------------
 
-def linalg_blocks(closure, reduced):
-    """`Reduction.blocks` by np.linalg.inv and @ on the dense F0 of `reduced`:
-    M = S + S_.c F0 B^-1 S_c. on rows and columns o and k."""
-    S_oo, S_oc, S_co, S_cc = closure.blocks
-    K, n = reduced.K, len(closure.labels)
-    F0 = np.zeros((len(closure.closed),) * 2, dtype=complex)
-    F0[closure.perm, np.arange(len(F0))] = reduced.f0
-    XY = np.linalg.inv(np.eye(len(F0)) - S_cc @ F0) @ np.hstack((S_co, S_cc[:, K]))
-    F0XY = F0 @ XY
-    return (S_oo + S_oc @ F0XY[:, :n], S_oc[:, K] + S_oc @ F0XY[:, n:], XY[K, :n], XY[K, n:])
+def complex_normal(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def random_stack(rng, m):
+    """A stack of 0 to 2 axes of random m x m blocks and a right-hand side
+    with the stack's axes or none."""
+    stack = tuple(int(n) for n in rng.integers(1, 6, size=int(rng.integers(0, 3))))
+    A = complex_normal(rng, stack + (m, m))
+    b = complex_normal(rng, (stack if rng.integers(0, 2) else ()) + (m, int(rng.integers(1, 5))))
+    return A, b
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_solve_matches_linalg_on_random_block_stacks(m):
+    # blocks of at most two ports close in closed form, larger ones by LU;
+    # a right-hand side of lower rank than the stack broadcasts over it
+    rng = np.random.default_rng(20261024 + m)
+    for trial in range(40):
+        A, b = random_stack(rng, m)
+        got = _solve(A, b)
+        want = np.linalg.solve(A, np.broadcast_to(b, A.shape[:-1] + b.shape[-1:]))
+        assert got.shape == want.shape, trial
+        if m:  # to rounding, the error the block's condition allows
+            error = np.max(np.abs(got - want), axis=(-2, -1))
+            assert np.all(error <= 1e-14 * np.linalg.cond(A) * np.max(np.abs(want), axis=(-2, -1))), trial
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_solve_raises_on_an_exactly_singular_block_anywhere_in_a_stack(m):
+    # a zero row, or for two ports a second row twice the first: the
+    # determinant cancels exactly
+    rng = np.random.default_rng(20261026 + m)
+    for trial in range(10):
+        A, b = complex_normal(rng, (int(rng.integers(1, 9)), m, m)), complex_normal(rng, (m, 2))
+        at = int(rng.integers(len(A)))
+        A[at, -1] = 2.0 * A[at, 0] if m == 2 else 0.0
+        for blocks in (A, A[at]):
+            with pytest.raises(np.linalg.LinAlgError):
+                _solve(blocks, b)
 
 
 @pytest.mark.parametrize("m", [1, 2])
-def test_tiny_blocks_match_the_linalg_path_on_random_networks(m):
-    # one phi1 seal (r = 1), and for m = 2 a constant seal beside it: B is
-    # 1 x 1 or 2 x 2 and closes in closed form, D is 1 x 1 and divides
-    rng = np.random.default_rng(20261024 + m)
-    for trial in range(8):
-        S = random_unitary(int(rng.integers(m + 1, 6)), int(rng.integers(1 << 30)))
-        ports = [str(p) for p in rng.permutation(S.port_labels)]
-        phases = [str(rng.choice(CARRIER_PHASES))] + [str(rng.choice(CONSTANT_PHASES))] * (m - 1)
-        seals = [Termination(p, PhaseExpr.parse(ph), bool(rng.integers(0, 2)))
-                 for p, ph in zip(ports, phases)]
-        closure = CompiledClosure(S, seals)
-        phi2 = float(rng.uniform(0.0, 2.0 * np.pi))
-        reduced = closure.reduction({"phi2": phi2})
-        assert len(closure.closed) == m and reduced.blocks[3].shape == (1, 1)
-        for got, want in zip(reduced.blocks, linalg_blocks(closure, reduced)):
-            scale = max(1.0, np.max(np.abs(want)))
-            assert np.max(np.abs(got - want), initial=0.0) <= 1e-15 * scale, trial
-        b = {"phi1": rng.uniform(0.0, 2.0 * np.pi, 41), "phi2": phi2}
-        got, dgot = closure.solve(lambda p: p.evaluate(b),
-                                  lambda p: p.derivative("phi1", b), reduced)
-        for i, x in enumerate(b["phi1"]):
-            want, dwant = reference_solve(S, seals, [], closure.labels, {**b, "phi1": float(x)})
-            assert np.max(np.abs(got[i] - want)) <= 1e-14 * np.max(np.abs(want)), trial
-            assert np.max(np.abs(dgot[i] - dwant)) <= 1e-13 * np.max(np.abs(dwant)), trial
+def test_small_block_solve_gives_the_same_bits_alone_as_in_a_stack(m):
+    rng = np.random.default_rng(20261028 + m)
+    A, b = complex_normal(rng, (4099, m, m)), complex_normal(rng, (m, 3))
+    stacked = _solve(A, b)
+    for i in (0, 1, 7, 8, 1000, 4095, 4098):
+        assert _solve(A[i], b).tobytes() == stacked[i].tobytes(), i
 
 
 def lone_reflector(phase, carrier):
@@ -631,11 +641,13 @@ def test_an_exactly_singular_two_port_block_leaves_every_loop_open():
     # the reflector's mirror at phase 0 puts 1 - (-1)(-1) = 0 on B's diagonal,
     # where LAPACK's LU meets a zero pivot too
     closure = lone_reflector("0", "phi1")
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.inv(closure._block(np.array([0.0, -1.0 + 0.0j])))
+    B = closure._block(np.array([0.0, -1.0 + 0.0j]))
+    for solve in (_solve, np.linalg.solve):
+        with pytest.raises(np.linalg.LinAlgError):
+            solve(B, np.eye(2))
     assert closure.reduction({}).blocks[3].shape == (2, 2)
     phi1 = np.array([0.3, 1.0, 2.5])
-    _, rcond = reference_gate(closure, lambda p: p.evaluate({"phi1": phi1}))
+    _, rcond = reference_gate(closure, {"phi1": phi1})
     assert np.all(rcond < SINGULARITY_RCOND)
     assert raised_message(closure, phi1) == gate_message(closure, rcond)
     assert raised_message(closure, phi1[1]) == gate_message(closure, rcond[1:2])
@@ -649,7 +661,7 @@ def test_a_zero_pivot_of_the_one_port_solve_goes_to_the_svd_gate(monkeypatch):
     closure = lone_reflector("phi1", "1.25")
     assert closure.reduction({}).blocks[3].tolist() == [[-1.0]]
     phi1 = np.array([0.3, 0.0, 2.5])
-    _, rcond = reference_gate(closure, lambda p: p.evaluate({"phi1": phi1}))
+    _, rcond = reference_gate(closure, {"phi1": phi1})
     assert rcond[1] == 0.0 and min(rcond[0], rcond[2]) > SINGULARITY_RCOND
     for x, want in ((phi1, rcond), (0.0, rcond[1:2]), (0.3, rcond[:1])):
         verified.clear()
