@@ -353,8 +353,8 @@ class Reduction:
             f0, r = np.zeros(m, dtype=complex), len(K)
             f0[rest], _ = c.feedback(bindings, ports=rest)
             B = c._block(f0)
-            try:
-                Binv = _solve(B, np.eye(m))
+            try:  # B = I when no constant loop is left closed
+                Binv = _solve(B, np.eye(m)) if len(rest) else np.eye(m, dtype=complex)
             except np.linalg.LinAlgError:
                 continue
             if not m or 1.0 / (_norm1(B) * _norm1(Binv)) >= 100.0 * m * SINGULARITY_RCOND:

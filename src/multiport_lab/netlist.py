@@ -191,13 +191,16 @@ def parse_netlist(text: str, *, unitarity_tol: float = DEFAULT_UNITARITY_TOL) ->
     """Parse and validate netlist JSON.
 
     Raises ParseError (with line/column) for malformed JSON or phase
-    expressions, ValidationError for structurally invalid netlists (unknown
-    references, double-sealed ports, non-unitary matrix literals, ...).
+    expressions, or for JSON nested too deeply to decode; ValidationError
+    for structurally invalid netlists (unknown references, double-sealed
+    ports, non-unitary matrix literals, ...).
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from None
+    except RecursionError:  # json's decoder recurses once per array or object
+        raise ParseError("netlist nests too deeply") from None
 
     _require(isinstance(doc, dict), "netlist must be a JSON object")
     unknown = set(doc) - {"devices", "seals", "links", "open_ports"}

@@ -13,18 +13,25 @@ therefore evaluates to the same float on every run.
 
 Bindings may be numpy arrays: the symbols they bind then evaluate
 elementwise, with the same bits as one scalar binding at a time, while
-subtrees without them stay exact and broadcast.
+operands without them stay exact and broadcast.
 
-`PhaseExpr` stores the canonical rendering of the parsed tree and caches
-the tree itself; two expressions compare equal iff their canonical texts
-match.  `PhaseExpr.derivative` applies the chain rule over that tree, and
-`PhaseExpr.is_affine_in` reads affinity in a symbol off it.
+A text compiles once to a flat postfix program: a tuple of numbers, the
+names ``pi``/``phi1``/``phi2`` and the operators, with ``neg`` for a unary
+minus.  One regular expression scans the tokens and one precedence loop
+(shunting yard) orders them; the canonical text, the value with its
+derivative, and the affinity in a symbol are each one loop over that tuple,
+so no function recurses and no expression is too deep to read.
+`PhaseExpr` stores the canonical text and caches its program; two
+expressions compare equal iff their canonical texts match.
+`PhaseExpr.derivative` evaluates every operand on the way, so it raises
+like `PhaseExpr.evaluate`, an unbound symbol included.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -40,134 +47,79 @@ _SYMBOLS = ("phi1", "phi2")
 Value = Union[float, np.ndarray]
 
 
-# --- AST -------------------------------------------------------------------
+# --- scanner and precedence loop -------------------------------------------
 
-@dataclass(frozen=True)
-class _Num:
-    value: float
+#: one token after spaces and tabs; `bad` takes any character no other kind
+#: starts, and `end` is \Z, as $ would also match before a final newline
+_TOKEN = re.compile(r"[ \t]*(?:(?P<number>[\d.]+(?:[eE][+-]?\d+)?)|(?P<name>[^\W\d]\w*)"
+                    r"|(?P<op>[-+*/()])|(?P<end>\Z)|(?P<bad>.))", re.DOTALL)
 
+#: how tightly each operator takes its operands while parsing
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3}
 
-@dataclass(frozen=True)
-class _Sym:
-    name: str  # "pi", "phi1", "phi2"
-
-
-@dataclass(frozen=True)
-class _Neg:
-    operand: "_Node"
-
-
-@dataclass(frozen=True)
-class _BinOp:
-    op: str  # "+", "-", "*", "/"
-    left: "_Node"
-    right: "_Node"
-
-
-_Node = Union[_Num, _Sym, _Neg, _BinOp]
-
-
-# --- tokenizer / parser ----------------------------------------------------
 
 class _Tokenizer:
+    """The (kind, token, column) of each token of one text, by one scan."""
+
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tok_start = 0
+        self.matches = _TOKEN.finditer(text)
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, line=1, column=self.tok_start + 1)
-
-    def peek(self):
-        text = self.text
-        n = len(text)
-        i = self.pos
-        while i < n and text[i] in " \t":
-            i += 1
-        self.pos = i
-        self.tok_start = i
-        if i >= n:
-            return ("end", "")
-        ch = text[i]
-        if ch in "+-*/()":
-            return ("op", ch)
-        if ch.isdigit() or ch == ".":
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            return ("number", text[i:j])
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            return ("name", text[i:j])
-        raise self.error(f"unexpected character {ch!r} in phase expression")
-
-    def take(self):
-        kind, tok = self.peek()
-        self.pos += len(tok)
-        return kind, tok
+    def __iter__(self):
+        for match in self.matches:
+            kind = match.lastgroup
+            yield kind, match.group(kind), match.start(kind) + 1
 
 
-def _parse_expr(tz: _Tokenizer) -> _Node:
-    node = _parse_term(tz)
-    while True:
-        kind, tok = tz.peek()
-        if kind == "op" and tok in "+-":
-            tz.take()
-            node = _BinOp(tok, node, _parse_term(tz))
+def _compile(text: str) -> tuple:
+    """The postfix program of `text`, from one scan and a precedence loop."""
+    program, ops, depth, operand = [], [], 0, True  # operand: one is due next
+    for kind, tok, column in _Tokenizer(text):
+        if kind == "bad":
+            raise _error(column, f"unexpected character {tok!r} in phase expression")
+        if operand:
+            if kind == "number":
+                try:
+                    value = float(tok)
+                except ValueError:
+                    raise _error(column, f"malformed number {tok!r}") from None
+                if not math.isfinite(value):
+                    raise _error(column, f"number {tok!r} is out of range")
+                program.append(value)
+                operand = False
+            elif kind == "name":
+                if tok != "pi" and tok not in _SYMBOLS:
+                    raise _error(column, f"unknown name {tok!r} "
+                                         "(expected a number, pi, phi1, or phi2)")
+                program.append(tok)
+                operand = False
+            elif tok == "-":
+                ops.append("neg")
+            elif tok == "(":
+                ops.append(tok)
+                depth += 1
+            else:
+                raise _error(column, "expected a number, name, or '('")
+        elif kind == "op" and tok in "+-*/":
+            while ops and ops[-1] != "(" and _PRECEDENCE[ops[-1]] >= _PRECEDENCE[tok]:
+                program.append(ops.pop())
+            ops.append(tok)
+            operand = True
+        elif tok == ")" and depth:
+            while ops[-1] != "(":
+                program.append(ops.pop())
+            ops.pop()
+            depth -= 1
+        elif depth:
+            raise _error(column, "expected ')'")
+        elif kind != "end":
+            raise _error(column, f"unexpected trailing input {tok!r}")
         else:
-            return node
+            program.extend(reversed(ops))
+            return tuple(program)
 
 
-def _parse_term(tz: _Tokenizer) -> _Node:
-    node = _parse_unary(tz)
-    while True:
-        kind, tok = tz.peek()
-        if kind == "op" and tok in "*/":
-            tz.take()
-            node = _BinOp(tok, node, _parse_unary(tz))
-        else:
-            return node
-
-
-def _parse_unary(tz: _Tokenizer) -> _Node:
-    kind, tok = tz.peek()
-    if kind == "op" and tok == "-":
-        tz.take()
-        return _Neg(_parse_unary(tz))
-    return _parse_atom(tz)
-
-
-def _parse_atom(tz: _Tokenizer) -> _Node:
-    kind, tok = tz.take()
-    if kind == "number":
-        try:
-            value = float(tok)
-        except ValueError:
-            raise tz.error(f"malformed number {tok!r}") from None
-        if not math.isfinite(value):
-            raise tz.error(f"number {tok!r} is out of range")
-        return _Num(value)
-    if kind == "name":
-        if tok == "pi" or tok in _SYMBOLS:
-            return _Sym(tok)
-        raise tz.error(f"unknown name {tok!r} (expected a number, pi, phi1, or phi2)")
-    if kind == "op" and tok == "(":
-        node = _parse_expr(tz)
-        kind, tok = tz.take()
-        if tok != ")":
-            raise tz.error("expected ')'")
-        return node
-    raise tz.error("expected a number, name, or '('")
+def _error(column: int, message: str) -> ParseError:
+    return ParseError(message, line=1, column=column)
 
 
 # --- canonical rendering ---------------------------------------------------
@@ -178,27 +130,28 @@ def _render_number(value: float) -> str:
     return repr(value)
 
 
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+#: how tightly each operator binds, then how tightly the place of each of its
+#: operands needs it to bind, else that operand is parenthesised: the right
+#: operand of - or / is kept apart at equal precedence (a-(b+c), a-(b*c),
+#: a/(b*c)), and a negation is parenthesised unless it is an operand of +
+#: or the left one of -
+_PLACES = {"+": (2, 2, 3), "-": (2, 2, 5), "*": (4, 4, 5), "/": (4, 4, 7), "neg": (3, 6)}
+_ATOM = 9  # a number or a name binds tightest of all
 
 
-def _render(node: _Node, parent_prec: int = 0, right_side: bool = False) -> str:
-    if isinstance(node, _Num):
-        return _render_number(node.value)
-    if isinstance(node, _Sym):
-        return node.name
-    if isinstance(node, _Neg):
-        inner = _render(node.operand, 3)
-        text = "-" + inner
-        return f"({text})" if parent_prec >= 2 else text
-    prec = _PRECEDENCE[node.op]
-    left = _render(node.left, prec)
-    # - and / are left-associative: the right operand needs parens at equal
-    # precedence (a-(b+c), a/(b*c)).
-    right = _render(node.right, prec + (1 if node.op in "-/" else 0), True)
-    text = f"{left}{node.op}{right}"
-    if prec < parent_prec or (prec == parent_prec and right_side):
-        return f"({text})"
-    return text
+def _render(program: tuple) -> str:
+    """The canonical text of a postfix program."""
+    stack = []  # (text, how tightly it binds)
+    for tok in program:
+        if tok not in _PLACES:
+            stack.append((tok if isinstance(tok, str) else _render_number(tok), _ATOM))
+            continue
+        binds, *places = _PLACES[tok]
+        texts = [f"({text})" if tight < place else text
+                 for (text, tight), place in zip(stack[-len(places):], places)]
+        del stack[-len(places):]
+        stack.append(("-" + texts[0] if tok == "neg" else texts[0] + tok + texts[1], binds))
+    return stack[0][0]
 
 
 # --- evaluation ------------------------------------------------------------
@@ -227,25 +180,18 @@ def _to_float(v) -> Value:
         return math.inf
 
 
-def _eval(node: _Node, bindings: Mapping[str, Value]):
-    if isinstance(node, _Num):
-        as_frac = Fraction(node.value)
-        return _Exact(as_frac, Fraction(0))
-    if isinstance(node, _Sym):
-        if node.name == "pi":
-            return _Exact(Fraction(0), Fraction(1))
-        if node.name not in bindings:
-            raise ValidationError(f"unbound symbol {node.name!r} in phase expression")
-        value = np.asarray(bindings[node.name], dtype=np.float64)
-        return value if value.ndim else float(value)
-    if isinstance(node, _Neg):
-        v = _eval(node.operand, bindings)
-        if isinstance(v, _Exact):
-            return _Exact(-v.a, -v.b)
-        return -v
-    left = _eval(node.left, bindings)
-    right = _eval(node.right, bindings)
-    op = node.op
+def _leaf(tok, bindings: Mapping[str, Value]):
+    if not isinstance(tok, str):
+        return _Exact(Fraction(tok), Fraction(0))
+    if tok == "pi":
+        return _Exact(Fraction(0), Fraction(1))
+    if tok not in bindings:
+        raise ValidationError(f"unbound symbol {tok!r} in phase expression")
+    value = np.asarray(bindings[tok], dtype=np.float64)
+    return value if value.ndim else float(value)
+
+
+def _apply(op: str, left, right):
     if isinstance(left, _Exact) and isinstance(right, _Exact):
         if op == "+":
             return _Exact(left.a + right.a, left.b + right.b)
@@ -272,22 +218,49 @@ def _divide(a, b):
 _FLOAT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide}
 
 
-def _slope(node: _Node, bindings: Mapping[str, Value], name: str) -> Value:
-    """d(node)/d(name) at `bindings`, by the chain rule over the tree."""
-    if isinstance(node, _Num):
-        return 0.0
-    if isinstance(node, _Sym):
-        return 1.0 if node.name == name else 0.0
-    if isinstance(node, _Neg):
-        return -_slope(node.operand, bindings, name)
-    du = _slope(node.left, bindings, name)
-    dv = _slope(node.right, bindings, name)
-    if node.op in "+-":
-        return du + dv if node.op == "+" else du - dv
-    u, v = (_to_float(_eval(side, bindings)) for side in (node.left, node.right))
-    if node.op == "*":
-        return du * v + u * dv
-    return _divide(du - _divide(u * dv, v), v)
+def _run(program: tuple, bindings: Mapping[str, Value], name: str | None = None):
+    """(value, slope) of a postfix program at `bindings`: the slope is
+    d/d`name` by the chain rule, or None without a `name`."""
+    values, slopes = [], []
+    for tok in program:
+        if tok == "neg":
+            v = values[-1]
+            values[-1] = _Exact(-v.a, -v.b) if isinstance(v, _Exact) else -v
+            if name is not None:
+                slopes[-1] = -slopes[-1]
+        elif tok in _FLOAT_OPS:
+            right = values.pop()
+            left = values[-1]
+            values[-1] = _apply(tok, left, right)
+            if name is not None:
+                dv = slopes.pop()
+                du = slopes[-1]
+                if tok in "+-":
+                    slopes[-1] = du + dv if tok == "+" else du - dv
+                    continue
+                u, v = _to_float(left), _to_float(right)
+                slopes[-1] = du * v + u * dv if tok == "*" else _divide(du - _divide(u * dv, v), v)
+        else:
+            values.append(_leaf(tok, bindings))
+            if name is not None:
+                slopes.append(1.0 if tok == name else 0.0)
+    return values[0], slopes[0] if name is not None else None
+
+
+def _degree(program: tuple, name: str) -> int:
+    """0 if the program does not mention `name`, 1 if affine in it, else 2."""
+    stack = []
+    for tok in program:
+        if tok in _FLOAT_OPS:
+            right = stack.pop()
+            left = stack[-1]
+            if tok in "+-":
+                stack[-1] = max(left, right)
+            else:
+                stack[-1] = min(left + right, 2) if tok == "*" else (2 if right else left)
+        elif tok != "neg":
+            stack.append(int(tok == name))
+    return stack[0]
 
 
 # --- public API ------------------------------------------------------------
@@ -311,66 +284,43 @@ class PhaseExpr:
             if not math.isfinite(source):
                 raise ParseError(f"non-finite phase value {source!r}")
             return cls(_render_number(float(source)))
-        return cls(_render(_parse_text(source)))
+        return cls(_render(_compile(source)))
 
     @cached_property
-    def _node(self) -> _Node:
-        return _parse_text(self.text)
+    def _program(self) -> tuple:
+        return _compile(self.text)
 
     @property
     def free_symbols(self) -> frozenset:
-        return frozenset(s for s in _SYMBOLS if _degree(self._node, s))
+        return frozenset(s for s in _SYMBOLS if _degree(self._program, s))
 
     def evaluate(self, bindings: Mapping[str, Value] | None = None) -> Value:
         """Evaluate to a float; free symbols must appear in `bindings`.
 
         Array bindings give an array, elementwise with the same bits as
-        scalar bindings; a subtree they do not enter stays a float and
+        scalar bindings; an operand they do not enter stays a float and
         broadcasts.  Raises ValidationError for unbound symbols, or for
         division by zero or a result too large for a float in any element.
         """
         with np.errstate(over="ignore", invalid="ignore"):  # _finite rejects inf, nan
-            return self._finite(_to_float(_eval(self._node, bindings or {})))
+            return self._finite(_to_float(_run(self._program, bindings or {})[0]))
 
     def derivative(self, symbol: str,
                    bindings: Mapping[str, Value] | None = None) -> Value:
         """Exact derivative with respect to `symbol` at `bindings`; takes
         arrays and raises like `evaluate`."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._finite(_slope(self._node, bindings or {}, symbol))
+            return self._finite(_run(self._program, bindings or {}, symbol)[1])
 
     def is_affine_in(self, symbol: str) -> bool:
-        """Whether the tree is affine in `symbol` (``phi1*phi1 - phi1*phi1``
-        is not: products and divisors are read as written)."""
-        return _degree(self._node, symbol) <= 1
+        """Whether the expression is affine in `symbol` (``phi1*phi1 -
+        phi1*phi1`` is not: products and divisors are read as written)."""
+        return _degree(self._program, symbol) <= 1
 
     def _finite(self, value: Value) -> Value:
         if not np.all(np.isfinite(value)):
             raise ValidationError(f"phase expression {self.text!r} is not finite")
         return value
-
-
-def _parse_text(text: str) -> _Node:
-    tz = _Tokenizer(text)
-    node = _parse_expr(tz)
-    kind, tok = tz.peek()
-    if kind != "end":
-        raise tz.error(f"unexpected trailing input {tok!r}")
-    return node
-
-
-def _degree(node: _Node, name: str) -> int:
-    """0 if node does not mention `name`, 1 if affine in it, else 2."""
-    if isinstance(node, _Sym):
-        return int(node.name == name)
-    if isinstance(node, _Neg):
-        return _degree(node.operand, name)
-    if not isinstance(node, _BinOp):
-        return 0
-    left, right = _degree(node.left, name), _degree(node.right, name)
-    if node.op in "+-":
-        return max(left, right)
-    return min(left + right, 2) if node.op == "*" else (2 if right else left)
 
 
 def evaluate_phase(source: Union[str, int, float],

@@ -454,3 +454,43 @@ def test_device_file_that_is_not_utf8_is_a_validation_error(tmp_path):
     assert res.returncode == 1
     assert res.stderr.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
     assert res.stderr.count("\n") == 1
+
+
+def test_deeply_nested_netlist_json_is_a_parse_error(tmp_path):
+    # used to end in a RecursionError traceback from the JSON decoder
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    res = run("smatrix", "--device", str(path))
+    assert res.returncode == 1
+    assert res.stderr == "error: netlist nests too deeply\n"
+
+
+MICHELSON = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "docs", "netlists", "michelson.json")
+DEPTH = 10_000
+#: phi1 seal phases DEPTH deep; each used to end in a RecursionError traceback
+DEEP_PHASES = {
+    "parentheses": "(" * DEPTH + "phi1" + ")" * DEPTH,
+    "unary minus": "-" * DEPTH + "phi1",
+    "left sum": "+".join(["phi1"] * DEPTH),
+    "right-nested difference": "phi1-(" * (DEPTH - 1) + "phi1" + ")" * (DEPTH - 1),
+    "unbalanced parentheses": "(" * DEPTH + "phi1" + ")" * (DEPTH - 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_PHASES))
+def test_deep_phase_in_a_netlist_exits_without_a_traceback(name, tmp_path):
+    with open(MICHELSON, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert doc["seals"][0]["phase"] == "phi1"
+    doc["seals"][0]["phase"] = DEEP_PHASES[name]
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    res = run("smatrix", "--device", str(path), "--phi1", "0.3", "--phi2", "0.5")
+    assert "Traceback" not in res.stderr
+    if name.startswith("unbalanced"):
+        assert res.returncode == 1
+        assert res.stderr == f"error: line 1, column {2 * DEPTH + 4}: expected ')'\n"
+    else:
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith("ports: bs.p1 bs.p2\n")

@@ -333,6 +333,30 @@ def test_constant_phases_are_evaluated_once(monkeypatch):
     assert df[0] == 1j * f[0] and not np.any(df[1:])
 
 
+def test_a_constant_block_of_no_closed_loop_is_the_identity_without_lapack(monkeypatch):
+    # every seal carries phi1, so no constant loop stays closed and B = I: the
+    # reduction takes I, the bits LAPACK gives, and only the stack's 3 x 3
+    # carrier blocks reach np.linalg.solve
+    S = make_grover_coin(4)
+    seals = [Termination(p, PhaseExpr.parse(x))
+             for p, x in (("p1", "phi1"), ("p2", "phi1+0.5"), ("p3", "2*phi1"))]
+    closure = CompiledClosure(S, seals)
+    B = closure._block(np.zeros(3, dtype=complex))
+    assert np.array_equal(B, np.eye(3)) and np.array_equal(np.linalg.solve(B, np.eye(3)), np.eye(3))
+    calls = []
+    real = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, *args, **kwargs:
+                        calls.append(a.shape) or real(a, *args, **kwargs))
+    phi1 = np.linspace(0.1, 2.0, 5)
+    got = closure.solve({"phi1": phi1}, True)
+    assert calls == [(5, 3, 3)]
+    monkeypatch.setattr(np.linalg, "solve", real)
+    for k, x in enumerate(phi1):
+        want = reference_solve(S, seals, [], ["p4"], {"phi1": float(x)})
+        for g, w in zip(got, want):
+            assert_allclose(g[k], w, rtol=0.0, atol=1e-13)
+
+
 def test_one_singular_sample_stops_the_stack_with_the_scalar_message():
     # three zero-phase mirrors on the 4-port coin trap a bound state
     closure = CompiledClosure(make_grover_coin(4), [

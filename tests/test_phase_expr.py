@@ -1,4 +1,7 @@
+import ast
 import math
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,6 +141,14 @@ def test_derivative_errors_like_evaluate():
         PhaseExpr.parse("1e300*phi1*phi1").derivative("phi1", {"phi1": 1e10})
 
 
+def test_derivative_needs_every_symbol_bound():
+    # the value of each operand is taken on the way, so an unbound symbol
+    # raises even where it adds nothing to the slope
+    for src in ("phi1+phi2", "phi2-phi1", "-phi2+2*phi1"):
+        with pytest.raises(ValidationError, match="unbound symbol 'phi2'"):
+            PhaseExpr.parse(src).derivative("phi1", {"phi1": 1.0})
+
+
 @pytest.mark.parametrize("src, affine", [
     ("phi1", True),
     ("-(phi1+pi/2)/3", True),
@@ -208,3 +219,86 @@ def test_one_bad_element_rejects_the_array(src, symbol, phi1):
             expr.evaluate(bindings)
         else:
             expr.derivative(symbol, bindings)
+
+
+CORPUS = Path(__file__).with_name("phase_expr_corpus.tsv")
+CORPUS_BINDINGS = ({"phi1": 0.7, "phi2": 1.3}, {"phi1": 0.0, "phi2": -2.5})
+
+
+def corpus_rows():
+    with CORPUS.open(encoding="ascii") as fh:
+        rows = [line.rstrip("\n").split("\t") for line in fh if not line.startswith("#")]
+    return [pytest.param(row, id=row[0]) for row in rows]
+
+
+def outcome(fn):
+    try:
+        return float(fn()).hex()
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+@pytest.mark.parametrize("row", corpus_rows())
+def test_corpus_answers_as_generated(row):
+    src, *want = row
+    src = ast.literal_eval(src)
+    if want[0] == "ParseError":
+        with pytest.raises(ParseError) as err:
+            PhaseExpr.parse(src)
+        assert [str(err.value.line), str(err.value.column), str(err.value)] == ["1"] + want[1:]
+        return
+    expr = PhaseExpr.parse(src)
+    assert expr.text == ast.literal_eval(want[0])
+    assert PhaseExpr.parse(expr.text) == expr
+    got = []
+    for b in CORPUS_BINDINGS:
+        got += [outcome(lambda: expr.evaluate(b)), outcome(lambda: expr.derivative("phi1", b)),
+                outcome(lambda: expr.derivative("phi2", b))]
+    assert got == want[1:]
+
+
+def test_corpus_covers_every_error_and_parenthesis_rule():
+    rows = [row.values[0] for row in corpus_rows()]
+    messages = {row[3].split(" ")[0] for row in rows if row[1] == "ParseError"}
+    assert messages == {"unexpected", "malformed", "number", "unknown", "expected"}
+    texts = {ast.literal_eval(row[1]) for row in rows if row[1] != "ParseError"}
+    # a negation inside a product, the right side of a difference or a
+    # quotient, a nested negation, a sum on the right of a sum
+    for text in ("(-phi1)*phi2", "phi1*(-phi2)", "phi1-(phi2+pi)", "phi1-(phi2*pi)",
+                 "phi1/(phi2*pi)", "phi1/(-phi2)", "-(-phi1)", "phi1+(phi2+pi)"):
+        assert text in texts
+
+
+DEPTH = 10_000
+#: balanced inputs DEPTH deep, each with its value at phi1 = 0.3
+DEEP = {
+    "parentheses": ("(" * DEPTH + "phi1" + ")" * DEPTH, 0.3),
+    "unary minus": ("-" * DEPTH + "phi1", 0.3),
+    "left sum": ("+".join(["phi1"] * DEPTH), None),
+    "right-nested difference": ("phi1-(" * (DEPTH - 1) + "phi1" + ")" * (DEPTH - 1), 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP))
+def test_deep_input_parses_and_evaluates_quickly(name):
+    src, value = DEEP[name]
+    start = time.perf_counter()
+    expr = PhaseExpr.parse(src)
+    got = expr.evaluate({"phi1": 0.3, "phi2": 0.5})
+    slope = expr.derivative("phi1", {"phi1": 0.3, "phi2": 0.5})
+    assert time.perf_counter() - start < 1.0
+    if value is not None:
+        assert got == value
+    assert expr.is_affine_in("phi1") and expr.free_symbols == frozenset({"phi1"})
+    assert slope == {"left sum": DEPTH, "right-nested difference": 0.0}.get(name, 1.0)
+
+
+@pytest.mark.parametrize("name", sorted(DEEP))
+def test_unbalanced_deep_input_fails_quickly(name):
+    src = DEEP[name][0]
+    unbalanced = "(" + src if src.endswith(")") else "(" * DEPTH + src
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        PhaseExpr.parse(unbalanced)
+    assert time.perf_counter() - start < 1.0
+    assert str(err.value) == "expected ')'" and err.value.column == len(unbalanced) + 1
