@@ -390,6 +390,8 @@ class Anatomy:
         a = np.concatenate((a[-1:], a, a[:1]) if self.ring else ([-1.0], a, [-1.0]))
         xs = np.concatenate(([x[-1] - TWO_PI], x, [TWO_PI]) if self.ring else (x[:1], x, x[-1:]))
         k = np.nonzero((a[1:-1] >= a[:-2]) & (a[1:-1] > a[2:]))[0]
+        if not k.size:  # a ring whose samples all tie: phi1 = 0 stands for them
+            k = np.zeros(1, dtype=int)
         k, sign = np.tile(k, 2), np.repeat([1.0, -1.0], k.size)
         best, top = x[k], sign * s[k]
         lo, hi = xs[k], xs[k + 2]

@@ -21,6 +21,9 @@ expression strings such as ``"pi/8"``; the free symbols ``phi1``/``phi2`` are
 allowed and bound at closure time, which is how a netlist-defined device
 becomes sweepable.
 
+A parsed `Netlist` holds `closure.Termination`s and `closure.Link`s, whose
+phases are `PhaseExpr`s and whose every port is ``"<device-id>.<port-label>"``.
+
 `parse_netlist` -> `render_netlist` round-trips: rendering is canonical and
 re-parsing the rendered text reproduces an equal `Netlist`.
 """
@@ -29,12 +32,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
 
-from .closure import ClosedDevice, CompiledClosure, Termination, _direct_sum
+from .closure import ClosedDevice, CompiledClosure, Link, Termination, _direct_sum
 from .core import (
     DEFAULT_UNITARITY_TOL,
     ScatteringMatrix,
@@ -50,6 +53,9 @@ from .phase_expr import PhaseExpr
 _GROVER_KIND = re.compile(r"^grover\(\s*(\d+)\s*\)$")
 _NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
 
+#: each device kind without a parameter, and its constructor
+_FIXED_KINDS = {"beamsplitter4": make_beam_splitter_4port, "hadamard2": make_hadamard2}
+
 
 @dataclass(frozen=True)
 class DeviceSpec:
@@ -61,40 +67,19 @@ class DeviceSpec:
     labels: tuple[str, ...]
     matrix: Optional[tuple[tuple[complex, ...], ...]] = None
 
-    @property
-    def n_ports(self) -> int:
-        return len(self.labels)
-
-
-@dataclass(frozen=True)
-class SealSpec:
-    device: str
-    port: str
-    phase: PhaseExpr
-    mirror: bool = True
-
-
-@dataclass(frozen=True)
-class LinkSpec:
-    port_a: str
-    port_b: str
-    round_trip_phase: PhaseExpr = field(default_factory=lambda: PhaseExpr("0"))
-
 
 @dataclass(frozen=True)
 class Netlist:
     devices: tuple[DeviceSpec, ...]
-    seals: tuple[SealSpec, ...]
-    links: tuple[LinkSpec, ...]
+    seals: tuple[Termination, ...]
+    links: tuple[Link, ...]
     open_ports: tuple[str, ...]
 
     @property
     def free_symbols(self) -> frozenset:
         out: frozenset = frozenset()
-        for seal in self.seals:
-            out |= seal.phase.free_symbols
-        for link in self.links:
-            out |= link.round_trip_phase.free_symbols
+        for closing in self.seals + self.links:
+            out |= closing.round_trip_phase.free_symbols
         return out
 
 
@@ -151,10 +136,8 @@ def _parse_device(raw, seen_ids: set, unitarity_tol: float) -> DeviceSpec:
         d = int(m.group(1))
         _require(d >= 3, f"device {dev_id!r}: grover coin needs at least 3 ports, got {d}")
         kind, n_ports = f"grover({d})", d
-    elif kind_raw == "beamsplitter4":
-        kind, n_ports = kind_raw, 4
-    elif kind_raw == "hadamard2":
-        kind, n_ports = kind_raw, 2
+    elif kind_raw in _FIXED_KINDS:
+        kind, n_ports = kind_raw, _FIXED_KINDS[kind_raw]().n_ports
     elif kind_raw == "matrix":
         _require("matrix" in raw, f"device {dev_id!r}: kind 'matrix' requires a 'matrix' key")
         matrix = _parse_matrix_literal(raw["matrix"], dev_id)
@@ -243,8 +226,7 @@ def parse_netlist(text: str, *, unitarity_tol: float = DEFAULT_UNITARITY_TOL) ->
         claim(ref, where)
         mirror = raw.get("mirror", True)
         _require(isinstance(mirror, bool), f"{where}: 'mirror' must be true or false")
-        seals.append(SealSpec(device=dev_id, port=port,
-                              phase=_parse_phase(raw["phase"], where), mirror=mirror))
+        seals.append(Termination(ref, _parse_phase(raw["phase"], where), mirror))
 
     links = []
     for k, raw in enumerate(doc.get("links", []) or []):
@@ -259,7 +241,7 @@ def parse_netlist(text: str, *, unitarity_tol: float = DEFAULT_UNITARITY_TOL) ->
         claim(a, where)
         claim(b, where)
         phase = _parse_phase(raw.get("round_trip_phase", 0), where)
-        links.append(LinkSpec(port_a=a, port_b=b, round_trip_phase=phase))
+        links.append(Link(a, b, phase))
 
     all_ports = [f"{d.id}.{lbl}" for d in devices for lbl in d.labels]
     free = [p for p in all_ports if p not in used_ports]
@@ -293,6 +275,11 @@ def _matrix_entry_json(z: complex):
 
 def render_netlist(netlist: Netlist) -> str:
     """Canonical JSON rendering; parse_netlist(render_netlist(n)) == n."""
+    seals = []
+    for seal in netlist.seals:
+        device, port = seal.port.split(".")
+        seals.append({"device": device, "port": port, "phase": seal.round_trip_phase.text,
+                      "mirror": seal.has_mirror})
     doc = {
         "devices": [
             {
@@ -304,10 +291,7 @@ def render_netlist(netlist: Netlist) -> str:
             }
             for d in netlist.devices
         ],
-        "seals": [
-            {"device": s.device, "port": s.port, "phase": s.phase.text, "mirror": s.mirror}
-            for s in netlist.seals
-        ],
+        "seals": seals,
         "links": [
             {"port_a": l.port_a, "port_b": l.port_b,
              "round_trip_phase": l.round_trip_phase.text}
@@ -325,14 +309,10 @@ def device_matrix(spec: DeviceSpec) -> ScatteringMatrix:
     m = _GROVER_KIND.match(spec.kind)
     if m:
         S = make_grover_coin(int(m.group(1)))
-    elif spec.kind == "beamsplitter4":
-        S = make_beam_splitter_4port()
-    elif spec.kind == "hadamard2":
-        S = make_hadamard2()
     elif spec.kind == "matrix":
         S = ScatteringMatrix(np.array(spec.matrix, dtype=np.complex128))
-    else:  # unreachable after parse validation
-        raise ValidationError(f"unknown device kind {spec.kind!r}")
+    else:
+        S = _FIXED_KINDS[spec.kind]()
     return S.relabeled(spec.labels)
 
 
@@ -345,8 +325,8 @@ def compile_netlist(netlist: Netlist) -> CompiledClosure:
     """The netlist's closure, partitioned once, with open ports in
     `netlist.open_ports` order; its phases stay `PhaseExpr`s, to be evaluated
     (and differentiated) per solve."""
-    seals = [Termination(f"{s.device}.{s.port}", s.phase, s.mirror) for s in netlist.seals]
-    return CompiledClosure(combined_matrix(netlist), seals, netlist.links, netlist.open_ports)
+    return CompiledClosure(combined_matrix(netlist), netlist.seals, netlist.links,
+                           netlist.open_ports)
 
 
 def close_netlist(netlist: Netlist,
@@ -364,52 +344,44 @@ def close_netlist(netlist: Netlist,
 
 # --- built-in topologies ---------------------------------------------------
 
-def _netlist(devices, seals=(), links=(), open_ports=None) -> Netlist:
-    parts = {"devices": devices, "seals": list(seals), "links": list(links)}
-    if open_ports is not None:
-        parts["open_ports"] = open_ports
-    return parse_netlist(json.dumps(parts))
-
-
 _BUILTINS = {
     # 50:50 beam splitter, mirrors on both output ports: the classic
     # two-arm interferometer.
-    "michelson": lambda: _netlist(
-        [{"id": "bs", "kind": "beamsplitter4"}],
-        seals=[{"device": "bs", "port": "p3", "phase": "phi1"},
-               {"device": "bs", "port": "p4", "phase": "phi2"}],
-        open_ports=["bs.p1", "bs.p2"],
-    ),
+    "michelson": {
+        "devices": [{"id": "bs", "kind": "beamsplitter4"}],
+        "seals": [{"device": "bs", "port": "p3", "phase": "phi1"},
+                  {"device": "bs", "port": "p4", "phase": "phi2"}],
+        "open_ports": ["bs.p1", "bs.p2"],
+    },
     # Mirrors on one port of each side: the mirrors face each other through
     # the splitter and form a true cavity.
-    "bs-cavity": lambda: _netlist(
-        [{"id": "bs", "kind": "beamsplitter4"}],
-        seals=[{"device": "bs", "port": "p2", "phase": "phi1"},
-               {"device": "bs", "port": "p4", "phase": "phi2"}],
-        open_ports=["bs.p1", "bs.p3"],
-    ),
+    "bs-cavity": {
+        "devices": [{"id": "bs", "kind": "beamsplitter4"}],
+        "seals": [{"device": "bs", "port": "p2", "phase": "phi1"},
+                  {"device": "bs", "port": "p4", "phase": "phi2"}],
+        "open_ports": ["bs.p1", "bs.p3"],
+    },
     # 4-port Grover coin with a single sealed port: three open ports.
-    "grover-single-seal": lambda: _netlist(
-        [{"id": "g", "kind": "grover(4)"}],
-        seals=[{"device": "g", "port": "p4", "phase": "phi1"}],
-        open_ports=["g.p1", "g.p2", "g.p3"],
-    ),
+    "grover-single-seal": {
+        "devices": [{"id": "g", "kind": "grover(4)"}],
+        "seals": [{"device": "g", "port": "p4", "phase": "phi1"}],
+        "open_ports": ["g.p1", "g.p2", "g.p3"],
+    },
     # 4-port Grover coin with two sealed ports: the two-open-port
     # interferometer with tunable response shape.
-    "grover-michelson": lambda: _netlist(
-        [{"id": "g", "kind": "grover(4)"}],
-        seals=[{"device": "g", "port": "p3", "phase": "phi1"},
-               {"device": "g", "port": "p4", "phase": "phi2"}],
-        open_ports=["g.p1", "g.p2"],
-    ),
+    "grover-michelson": {
+        "devices": [{"id": "g", "kind": "grover(4)"}],
+        "seals": [{"device": "g", "port": "p3", "phase": "phi1"},
+                  {"device": "g", "port": "p4", "phase": "phi2"}],
+        "open_ports": ["g.p1", "g.p2"],
+    },
     # Two 3-port coins joined by a zero-phase link: closes to the 4-port coin.
-    "fusion": lambda: _netlist(
-        [{"id": "left", "kind": "grover(3)"},
-         {"id": "right", "kind": "grover(3)"}],
-        links=[{"port_a": "left.p3", "port_b": "right.p1",
-                "round_trip_phase": 0}],
-        open_ports=["left.p1", "left.p2", "right.p2", "right.p3"],
-    ),
+    "fusion": {
+        "devices": [{"id": "left", "kind": "grover(3)"},
+                    {"id": "right", "kind": "grover(3)"}],
+        "links": [{"port_a": "left.p3", "port_b": "right.p1", "round_trip_phase": 0}],
+        "open_ports": ["left.p1", "left.p2", "right.p2", "right.p3"],
+    },
 }
 
 BUILTIN_NETLIST_NAMES = tuple(sorted(_BUILTINS))
@@ -419,9 +391,9 @@ def builtin_netlist(name: str) -> Netlist:
     """Netlist for a named topology (michelson, bs-cavity, grover-single-seal,
     grover-michelson, fusion)."""
     try:
-        factory = _BUILTINS[name]
+        doc = _BUILTINS[name]
     except KeyError:
         raise ValidationError(
             f"unknown device {name!r}; built-ins: {', '.join(BUILTIN_NETLIST_NAMES)}"
         ) from None
-    return factory()
+    return parse_netlist(json.dumps(doc))

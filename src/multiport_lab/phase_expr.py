@@ -140,18 +140,27 @@ _ATOM = 9  # a number or a name binds tightest of all
 
 
 def _render(program: tuple) -> str:
-    """The canonical text of a postfix program."""
-    stack = []  # (text, how tightly it binds)
+    """The canonical text of a postfix program.  Each operation's text is a
+    tuple of its pieces (texts, or tuples like it), joined once at the end
+    by a walk with an explicit stack, so no text is copied more than once."""
+    stack = []  # (text or tuple of pieces, how tightly it binds)
     for tok in program:
         if tok not in _PLACES:
             stack.append((tok if isinstance(tok, str) else _render_number(tok), _ATOM))
             continue
         binds, *places = _PLACES[tok]
-        texts = [f"({text})" if tight < place else text
+        texts = [("(", text, ")") if tight < place else text
                  for (text, tight), place in zip(stack[-len(places):], places)]
         del stack[-len(places):]
-        stack.append(("-" + texts[0] if tok == "neg" else texts[0] + tok + texts[1], binds))
-    return stack[0][0]
+        stack.append((("-", texts[0]) if tok == "neg" else (texts[0], tok, texts[1]), binds))
+    out, todo = [], [stack[0][0]]
+    while todo:
+        piece = todo.pop()
+        if isinstance(piece, str):
+            out.append(piece)
+        else:
+            todo.extend(reversed(piece))
+    return "".join(out)
 
 
 # --- evaluation ------------------------------------------------------------

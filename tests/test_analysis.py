@@ -650,6 +650,27 @@ def test_netlist_without_pole_finds_the_upper_flank_at_small_phi2(case, phi2):
     assert got == pytest.approx(want, rel=1e-9)
 
 
+#: a 3-port permutation with p3 sealed on itself: T is 1 at every phi1, and
+#: its pole has |w| = 1, so the peak search samples a ring of equal zeros
+FLAT_RING = {"devices": [{"id": "d", "kind": "matrix",
+                          "matrix": [[0, 1, 0], [1, 0, 0], [0, 0, 1]]}],
+             "seals": [{"device": "d", "port": "p3", "phase": "phi1"}],
+             "open_ports": ["d.p1", "d.p2"]}
+
+
+def test_flat_ring_takes_phi1_zero_as_its_steepest_point():
+    # no sample of the ring is a strict peak of |dT/dphi1|
+    net = parse_netlist(json.dumps(FLAT_RING))
+    assert compile_netlist(net).phi1_pole({"phi2": 0.3})[2] == pytest.approx(TWO_PI)
+    assert max_sensitivity(net, 0.3) == (0.0, 0.0)
+    bias = find_bias_point(net, 0.3, 1.0)
+    assert (bias.phi1, bias.slope) == (0.0, 0.0)
+    for delta in (0.1, 7.0):
+        assert perturbation_response(net, bias, delta) == (0.0, False)
+    with pytest.raises(TargetUnreachableError):
+        find_bias_point(net, 0.3, 0.5)
+
+
 def _haar_netlist(u, link):
     """Haar 4-port u with phi2 sealed on p4 and phi1 on p3: on a seal
     (r = 1), or on a link to a 1-port mirror [[-1]] (r = 2)."""

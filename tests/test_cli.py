@@ -223,6 +223,24 @@ def test_bias_delta_of_whole_periods_without_a_resonance_saturates():
     assert [row.split(",")[2] for row in table[1:]] == ["true", "true"]
 
 
+def test_bias_on_a_flat_ring_reports_a_zero_slope(tmp_path):
+    # T is 1 at every phi1, and the pole's period is 2*pi: the peak search
+    # samples a ring of equal slopes, none of them a strict peak
+    flat = tmp_path / "flat.json"
+    flat.write_text(json.dumps({
+        "devices": [{"id": "d", "kind": "matrix", "matrix": [[0, 1, 0], [1, 0, 0], [0, 0, 1]]}],
+        "seals": [{"device": "d", "port": "p3", "phase": "phi1"}],
+        "open_ports": ["d.p1", "d.p2"]}))
+    res = run("bias", "--device", str(flat), "--phi2", "0.3", "--target", "1",
+              "--delta", "0.1,7")
+    assert (res.returncode, res.stderr) == (0, "")
+    assert "phi1 = 0.0\n" in res.stdout and "slope = 0.0\n" in res.stdout
+    table = res.stdout[res.stdout.index("delta,dT,saturated"):].strip().splitlines()
+    assert table[1:] == ["0.1,0.0,false", "7.0,0.0,false"]
+    res = run("bias", "--device", str(flat), "--phi2", "0.3", "--target", "0.5")
+    assert res.returncode == 3 and "Traceback" not in res.stderr
+
+
 def test_degrees_flag_converts_inputs():
     res = run(
         "sweep",

@@ -485,8 +485,7 @@ def test_reported_condition_is_the_two_norm_one():
         net = parse_netlist((DOCS / f"{name}.json").read_text())
         bindings = {"phi1": float(rng.uniform(0.0, 2.0 * np.pi)), "phi2": 0.7}
         dev = close_netlist(net, bindings)
-        seals = [Termination(f"{s.device}.{s.port}", s.phase, s.mirror) for s in net.seals]
-        blocks, F, _ = dense_closure(combined_matrix(net), seals, net.links,
+        blocks, F, _ = dense_closure(combined_matrix(net), net.seals, net.links,
                                      net.open_ports, bindings)
         want = np.linalg.cond(np.eye(len(F)) - blocks[3] @ F)
         assert dev.closure_condition == pytest.approx(want, rel=1e-12), name

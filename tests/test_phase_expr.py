@@ -293,6 +293,25 @@ def test_deep_input_parses_and_evaluates_quickly(name):
     assert slope == {"left sum": DEPTH, "right-nested difference": 0.0}.get(name, 1.0)
 
 
+LONG = 100_000
+#: inputs LONG operators long, each with the length of its canonical text,
+#: which joining each operation's text in turn would build in quadratic time
+LONG_SHAPES = {
+    "sum": ("+".join(["phi1"] * LONG), 5 * LONG - 1),
+    "unary minus": ("-" * LONG + "phi1", 3 * LONG + 2),
+    "right-nested difference": ("phi1-(" * LONG + "phi1" + ")" * LONG, 7 * LONG + 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_SHAPES))
+def test_long_input_renders_in_linear_time(name):
+    src, length = LONG_SHAPES[name]
+    start = time.perf_counter()
+    expr = PhaseExpr.parse(src)
+    assert time.perf_counter() - start < 1.0
+    assert len(expr.text) == length
+
+
 @pytest.mark.parametrize("name", sorted(DEEP))
 def test_unbalanced_deep_input_fails_quickly(name):
     src = DEEP[name][0]
