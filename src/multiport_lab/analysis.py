@@ -356,39 +356,46 @@ def _crossings(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
 class Anatomy:
     """What the searches read off the curve T(phi1) of one model at one
     phi2: the pole, then, each on first use, the peaks of |dT/dphi1| and
-    the steepest of them, and T's turning points."""
+    the steepest of them, and T's turning points.  It refuses a period of
+    at most `COARSE_POINTS` ulps of 2*pi, where the grid's pitch would be
+    below the zooms' stop."""
 
     def __init__(self, model: DeviceModel, phi2: float):
         self.model, self.phi2 = model, float(phi2)
         c, w, p = model.closure().phi1_pole({"phi2": self.phi2}) or (None, None, None)
         #: T's period in phi1 (`phi1_pole`), None if there is none
         self.period = p
+        if p is not None and p <= COARSE_POINTS * math.ulp(TWO_PI):
+            raise ValidationError(
+                f"phi1's period {p:.3g} at phi2={self.phi2!r} is below the searches' resolution "
+                f"{COARSE_POINTS * math.ulp(TWO_PI):.3g}")
+        #: whether one period fits in [0, 2*pi]: the searched window [0, span]
+        #: is then that period, a ring as T(span) is T(0), and else [0, 2*pi]
+        self.ring = p is not None and p <= TWO_PI
+        self.span = p if self.ring else TWO_PI
         #: (centre, half-width) of the pole's resonances from the last at or
-        #: below phi1 = 0 to the first at or above 2*pi (and so one period)
+        #: below phi1 = 0 to the first at or above span (and so one period)
         self.resonances = [] if c is None else [
-            (c + k * p, w) for k in range(math.floor(-c / p), math.ceil((TWO_PI - c) / p) + 1)]
-        #: whether the period divides 2*pi, so that T(2*pi) is T(0) and
-        #: [0, 2*pi] closes into a ring
-        self.ring = p is not None and (TWO_PI / p).is_integer()
+            (c + k * p, w) for k in range(math.floor(-c / p), math.ceil((self.span - c) / p) + 1)]
 
     @functools.cached_property
     def peaks(self) -> tuple[tuple[float, float], ...]:
         """(phi1, dT/dphi1) at the local maxima of |dT/dphi1| sampled on the
-        search grid of [0, 2*pi], a ring where `ring`, each zoomed to float
+        search grid of [0, span], a ring where `ring`, each zoomed to float
         resolution once for each sign of dT/dphi1: a resonance narrower than
         the grid, whose two flanks slope opposite ways, may hide between two
         samples.  A zoom rescans the two cells around its point in
         `ZOOM_POINTS` steps and recentres on its best point of its sign so
         far, until the pitch is a couple of ulps of phi1 near 2*pi."""
-        dT, phi2, n = self.model.dT_dphi1, self.phi2, ZOOM_POINTS
-        x = _search_grid(0.0, TWO_PI, self.resonances)
-        if self.ring:  # the 2*pi sample repeats phi1 = 0's
+        dT, phi2, n, span = self.model.dT_dphi1, self.phi2, ZOOM_POINTS, self.span
+        x = _search_grid(0.0, span, self.resonances)
+        if self.ring:  # the sample at span repeats phi1 = 0's
             x = x[:-1]
         s = np.broadcast_to(dT(x, phi2), x.shape)
         # each end's outer neighbour: the other end across the ring, else none
         a = np.abs(s)
         a = np.concatenate((a[-1:], a, a[:1]) if self.ring else ([-1.0], a, [-1.0]))
-        xs = np.concatenate(([x[-1] - TWO_PI], x, [TWO_PI]) if self.ring else (x[:1], x, x[-1:]))
+        xs = np.concatenate(([x[-1] - span], x, [span]) if self.ring else (x[:1], x, x[-1:]))
         k = np.nonzero((a[1:-1] >= a[:-2]) & (a[1:-1] > a[2:]))[0]
         if not k.size:  # a ring whose samples all tie: phi1 = 0 stands for them
             k = np.zeros(1, dtype=int)
@@ -415,7 +422,7 @@ class Anatomy:
         top = max(abs(s) for _, s in self.peaks)
         x, s = max((p for p in self.peaks if abs(p[1]) >= top * (1.0 - 1e-12)),
                    key=lambda p: (p[1] > 0.0, abs(p[1])))
-        return x % TWO_PI % TWO_PI, abs(s)  # a tiny negative x % TWO_PI is TWO_PI itself
+        return x % self.span % self.span, abs(s)  # a tiny negative x % span is span itself
 
     @functools.cached_property
     def turns(self) -> tuple[float, ...]:
@@ -453,6 +460,8 @@ def max_sensitivity(device: DeviceLike, phi2: float) -> tuple[float, float]:
     to float resolution.  The search grid samples each pole resonance
     (centre c, half-width w) at c +- w*2^(k/8), so each flank's maximum,
     about w/sqrt(3) from c, is a peak of its own however narrow w is.
+    Where T's period p is below 2*pi, one period holds every value of T:
+    the search reads [0, p], and argmax_phi1 lies in [0, p).
     Peaks within 1e-12 relative of the largest tie, and a tie takes the
     rising flank (dT/dphi1 > 0), so mirror-image flanks do not choose by
     rounding.
@@ -477,16 +486,18 @@ def find_bias_point(device: DeviceLike, phi2: float, target_T: float) -> BiasPoi
     """phi1 with T(phi1, phi2) = target_T, preferring the steep monotone
     piece through the max-|slope| point (the natural readout region).
 
-    T's turning points (`Anatomy.turns`), shifted by whole periods into
-    (0, 2*pi), cut [0, 2*pi] into pieces on which T is monotone; where T's
-    period divides 2*pi, the copies just beyond either end stand in for 0
-    and 2*pi, so a piece runs on across phi1 = 0.  T at the piece ends is
-    the attainable range.  The crossing is refined by `_crossings` on the
-    piece through the steepest point if T crosses the target there, else on
-    the first piece where it does, and reduced into [0, 2*pi).
+    T's turning points (`Anatomy.turns`), shifted by whole periods into the
+    anatomy's window (0, span), cut [0, span] into pieces on which T is
+    monotone; where span is T's period, the copies just beyond either end
+    stand in for 0 and span, so a piece runs on across phi1 = 0.  T at the
+    piece ends is the attainable range.  The crossing is refined by
+    `_crossings` on the piece through the steepest point if T crosses the
+    target there, else on the first piece where it does, and reduced into
+    [0, span): [0, p) for a period p <= 2*pi, else [0, 2*pi).
 
-    Raises ValidationError for a NaN target, and TargetUnreachableError when
-    the target lies outside the curve's range at this phi2.
+    Raises ValidationError for a NaN target or a period below the searches'
+    resolution, and TargetUnreachableError when the target lies outside the
+    curve's range at this phi2.
     """
     model = resolve_device(device)
     target = float(target_T)
@@ -494,13 +505,13 @@ def find_bias_point(device: DeviceLike, phi2: float, target_T: float) -> BiasPoi
         raise ValidationError("target T must be a number, got nan")
 
     shape = anatomy(model, phi2)
-    p = shape.period or TWO_PI
+    p, span = shape.period or TWO_PI, shape.span
     copies = [t + p * k for t in shape.turns
-              for k in range(math.floor(-t / p) - 1, math.ceil((TWO_PI - t) / p) + 2)]
+              for k in range(math.floor(-t / p) - 1, math.ceil((span - t) / p) + 2)]
     # sorted(), not np.sort or np.unique: see `_search_grid`
-    ends = [0.0] + sorted(c for c in copies if 0.0 < c < TWO_PI) + [TWO_PI]
-    if shape.ring and copies:  # T(2*pi) is T(0): a piece may run on across phi1 = 0
-        ends[0], ends[-1] = max(c for c in copies if c <= 0.0), min(c for c in copies if c >= TWO_PI)
+    ends = [0.0] + sorted(c for c in copies if 0.0 < c < span) + [span]
+    if shape.ring and copies:  # T(span) is T(0): a piece may run on across phi1 = 0
+        ends[0], ends[-1] = max(c for c in copies if c <= 0.0), min(c for c in copies if c >= span)
     ends = np.array(ends)
     T_ends = np.broadcast_to(model.probabilities(ends, phi2).T, ends.shape)
     t_lo, t_hi = float(np.min(T_ends)), float(np.max(T_ends))
@@ -517,7 +528,7 @@ def find_bias_point(device: DeviceLike, phi2: float, target_T: float) -> BiasPoi
     if not crossed[i]:
         i = int(np.argmax(crossed))
     x, = _crossings(lambda t: model.probabilities(t, phi2).T - goal, ends[[i]], ends[[i + 1]])
-    phi1 = float(x) % TWO_PI % TWO_PI  # in [0, 2*pi), as in `Anatomy.steepest`
+    phi1 = float(x) % span % span  # in [0, span), as in `Anatomy.steepest`
     return BiasPoint(phi1, float(phi2), float(model.probabilities(phi1, phi2).T),
                      float(model.dT_dphi1(phi1, phi2)))
 

@@ -21,9 +21,10 @@ first call in a process pages in 0.3-0.8 MB of OpenBLAS; the link form of
 docs/netlists still solves its 4-port constant block by LU.  The solve's
 1-norm condition, bounded in O(r^2) through the Woodbury identity, screens
 each sample for singularity, and only the samples it catches get the SVD
-that decides.  The truncated round-trip series is kept as an independent
-cross-check (`close_series_truncated`); it converges whenever the spectral
-radius of S_cc F is below one.
+that decides.  The reported condition number closes blocks of at most two
+ports in closed form too (`_rcond`).  The truncated round-trip series is
+kept as an independent cross-check (`close_series_truncated`); it converges
+whenever the spectral radius of S_cc F is below one.
 
 Feedback conventions:
   * mirror seal      -> diagonal entry -exp(i*phi)   (mirror contributes the
@@ -227,22 +228,29 @@ class CompiledClosure:
                   ) -> Optional[tuple[Optional[float], Optional[float], float]]:
         """(centre, half-width, period) in phi1 of the resonance of the one
         seal or link whose phase a*phi1 + b carries phi1, at `bindings` of
-        the other symbols; None if phi1 enters several entries or a phase not
-        affine in it, or if a = 0.  For a seal the reduction leaves 1 - w z
-        with w = sign M_kk, zero at z* = 1/w: centre (-arg w - b)/a,
-        half-width |log|w||/|a| (the Fabry-Perot linewidth).  Centre and
-        half-width are None for a link (a 2 x 2 block), or if |w| is 0 (no
-        cavity) or 1 (a bound state, so M_ok = 0 and T is flat); T still
-        repeats with the period 2*pi/|share*a|: 2*pi/|a| for a seal, 4*pi/|a|
-        for a link, whose feedback carries exp(i*share*(a*phi1 + b)).
+        the other symbols; None if phi1 enters a phase not affine in it, or
+        if a = 0.  For a seal the reduction leaves 1 - w z with w = sign
+        M_kk, zero at z* = 1/w: centre (-arg w - b)/a, half-width
+        |log|w||/|a| (the Fabry-Perot linewidth).  Centre and half-width are
+        None for a link (a 2 x 2 block), or if |w| is 0 (no cavity) or 1 (a
+        bound state, so M_ok = 0 and T is flat); T still repeats with the
+        period 2*pi/|share*a|: 2*pi/|a| for a seal, 4*pi/|a| for a link,
+        whose feedback carries exp(i*share*(a*phi1 + b)).  Where phi1 enters
+        several entries, each feedback repeats every 4*pi/|n| with n =
+        2*share*a, so where every n is an integer, T repeats every
+        4*pi/gcd(n) and centre and half-width are None; else None.
         """
-        if len(self._carriers) != 1:
+        carriers = [self.loops[i] for i in self._carriers]
+        if not carriers or not all(loop[3].is_affine_in("phi1") for loop in carriers):
             return None
-        _, sign, share, phase = self.loops[self._carriers[0]]
-        if not phase.is_affine_in("phi1"):
-            return None
-        M_kk = self.reduction(bindings).blocks[3]
         at0 = {**bindings, "phi1": 0.0}
+        if len(carriers) > 1:
+            n = [2.0 * share * phase.derivative("phi1", at0) for _, _, share, phase in carriers]
+            if not any(n) or not all(x.is_integer() for x in n):
+                return None
+            return None, None, 4.0 * math.pi / math.gcd(*map(int, n))
+        _, sign, share, phase = carriers[0]
+        M_kk = self.reduction(bindings).blocks[3]
         a, b = phase.derivative("phi1", at0), phase.evaluate(at0)
         w = sign * complex(M_kk[0, 0]) if M_kk.shape == (1, 1) else 0.0
         if a == 0.0:
@@ -257,8 +265,9 @@ class CompiledClosure:
         return np.eye(len(self.closed)) - self._gathered * f[..., None, :]
 
     def condition(self, bindings=None) -> float:
-        """2-norm condition number of I - S_cc F at one phase sample (one
-        SVD); 1.0 if nothing is closed."""
+        """2-norm condition number of I - S_cc F at one phase sample
+        (`_rcond`: closed form up to 2 x 2, an SVD above); 1.0 if nothing
+        is closed."""
         if not self.closed:
             return 1.0
         f, _ = self.feedback(bindings)
@@ -323,7 +332,9 @@ class CompiledClosure:
         blocks at the carrier entries f of `red` is below SINGULARITY_RCOND."""
         full = np.tile(red.f0, f.shape[:-1] + (1,))
         full[..., red.K] = f
-        worst = float(np.min(_rcond(self._block(full))))
+        # the SVD, not `_rcond`: near a bound state the two round the rcond
+        # differently in the digits that the message quotes
+        worst = float(np.min(_svd_rcond(self._block(full))))
         if worst < SINGULARITY_RCOND:
             raise SingularClosureError(
                 f"singular closure: feedback through ports {list(self.closed)} is "
@@ -438,6 +449,26 @@ def _norm1(M):
 
 
 def _rcond(A):
+    """2-norm reciprocal condition of each block of the stack A.  Up to two
+    ports it needs no LAPACK (an SVD pages in about 1.2 MB): 1 or 0 for one
+    port, and |det A| / s^2 for two, s^2 the larger eigenvalue of A^H A,
+    from its columns' norms and their product g = u^H v, with no
+    cancellation where both singular values are close."""
+    m = A.shape[-1]
+    if m > 2:
+        return _svd_rcond(A)
+    if m == 2:
+        (w, x), (y, z) = np.moveaxis(A, (-2, -1), (0, 1))
+        low = np.abs(_mul(w, z) - _mul(x, y))
+        uu, vv = (p.real ** 2 + p.imag ** 2 + q.real ** 2 + q.imag ** 2 for p, q in ((w, y), (x, z)))
+        g = np.abs(_mul(np.conj(w), x) + _mul(np.conj(y), z))
+        top = 0.5 * (uu + vv + np.hypot(uu - vv, 2.0 * g))
+    else:
+        top = low = np.abs(A[..., 0, 0])
+    return low / np.where(top > 0.0, top, np.inf)
+
+
+def _svd_rcond(A):
     """2-norm reciprocal condition of each block of the stack A, from its
     singular values."""
     sv = np.linalg.svd(A, compute_uv=False)

@@ -30,6 +30,7 @@ from multiport_lab import (
     netlist_device,
     parse_netlist,
     perturbation_response,
+    render_netlist,
     sensitivity_profile,
     slope,
     solve_phi2_for_sensitivity,
@@ -331,7 +332,7 @@ BLAS_PAGES = """
 import math, sys
 from pathlib import Path
 import numpy as np
-from multiport_lab import GridSpec, find_bias_point, parse_netlist, sweep
+from multiport_lab import GridSpec, close_netlist, find_bias_point, parse_netlist, sweep
 
 def blas_kb():
     kb, inside = 0, False
@@ -352,15 +353,18 @@ else:
         find_bias_point("grover-michelson", phi2, 0.5)
     for name in sys.argv[1:]:
         net = parse_netlist(Path(name).read_text())
-        find_bias_point(net, 0.5, 0.5)
-        sweep(net, 0.5, GridSpec(0.0, 2.0 * math.pi, 257))
+        close_netlist(net, {"phi1": 0.3, "phi2": 0.5})  # its condition number too
+        if name.endswith("michelson.json"):  # and grover-michelson.json: a bias and a sweep
+            find_bias_point(net, 0.5, 0.5)
+            sweep(net, 0.5, GridSpec(0.0, 2.0 * math.pi, 257))
 print(before, blas_kb())
 """
 
 
 def test_one_port_closures_page_in_no_blas():
     # the closed forms of small blocks exist to keep OpenBLAS's code out of
-    # memory: first calls of np.linalg.inv and a complex @ map in about 1 MB
+    # memory: first calls of np.linalg.inv and a complex @ map in about 1 MB,
+    # and an SVD, which `close_netlist`'s condition number once ran, 1.2 MB
     if not Path("/proc/self/smaps").exists():
         pytest.skip("no /proc/self/smaps")
 
@@ -372,7 +376,8 @@ def test_one_port_closures_page_in_no_blas():
     control = pages()
     if control[1] == control[0]:
         pytest.skip("this numpy's OpenBLAS pages are not visible in smaps")
-    before, after = pages(*(str(DOCS / name) for name in ("michelson.json", "grover-michelson.json")))
+    names = ("michelson.json", "bs-cavity.json", "grover-michelson.json", "fusion.json")
+    before, after = pages(*(str(DOCS / name) for name in names))
     assert after == before
 
 
@@ -633,6 +638,8 @@ def test_netlist_without_pole_max_sensitivity_matches_a_dense_scan(case):
     pole = compile_netlist(net).phi1_pole({"phi2": 0.5})
     if case == "link":  # exp(i phi1/2) each way: no one pole, period 4*pi
         assert pole == (None, None, 4.0 * math.pi)
+    elif case == "two-seals":  # exp(i phi1) on two seals: no one pole, period 2*pi
+        assert pole == (None, None, TWO_PI)
     else:
         assert pole is None
     want = _dense_max_abs_slope(lambda x: dT(x, 0.5), [(0.0, TWO_PI, 65537)])
@@ -648,6 +655,50 @@ def test_netlist_without_pole_finds_the_upper_flank_at_small_phi2(case, phi2):
     _, want = max_sensitivity("grover-michelson", phi2)
     _, got = max_sensitivity(parse_netlist(json.dumps(WITHOUT_POLE[case][0])), phi2)
     assert got == pytest.approx(want, rel=1e-9)
+
+
+def _scaled_phi1(k):
+    """The built-in grover-michelson netlist with its phi1 seal at k*phi1:
+    T repeats every 2*pi/k."""
+    doc = json.loads(render_netlist(builtin_netlist("grover-michelson")))
+    seal, = (s for s in doc["seals"] if s["phase"] == "phi1")
+    seal["phase"] = f"{k}*phi1"
+    return parse_netlist(json.dumps(doc))
+
+
+@pytest.mark.parametrize("phi2", [0.3, 1e-3])
+@pytest.mark.parametrize("k", [3, 100000])
+def test_a_period_below_two_pi_is_searched_once(k, phi2):
+    # T(phi1) of k*phi1 is T(k*phi1) of phi1: every search reads one period
+    # [0, 2*pi/k], so its work does not grow with k, and its answers are
+    # those of phi1 scaled, in that period
+    net, period = _scaled_phi1(k), TWO_PI / k
+    model = resolve_device(net)
+    assert analysis.anatomy(model, phi2).span == pytest.approx(period, rel=1e-15)
+    assert len(analysis.anatomy(model, phi2).resonances) <= 3
+    _, want = max_sensitivity(builtin_netlist("grover-michelson"), phi2)
+    x, got = max_sensitivity(net, phi2)
+    assert got == pytest.approx(k * want, rel=1e-9)
+    assert 0.0 <= x < period
+    bp = find_bias_point(net, phi2, 0.5)
+    assert 0.0 <= bp.phi1 < period
+    assert abs(bp.T - 0.5) <= 4.0 * abs(bp.slope) * math.ulp(TWO_PI)
+
+
+def test_a_period_below_the_grid_resolution_is_refused():
+    # 1024 ulps of 2*pi, about 9.1e-13: the uniform grid's pitch is then below
+    # the zooms' absolute stop, and without the refusal both of these biases
+    # come out at T = 0.487 for a target of 0.5
+    for k in (10 ** 13, 10 ** 300):
+        net = _scaled_phi1(k)
+        with pytest.raises(ValidationError, match="below the searches' resolution"):
+            max_sensitivity(net, 0.3)
+        with pytest.raises(ValidationError, match="below the searches' resolution"):
+            find_bias_point(net, 0.3, 0.5)
+    for k in (10 ** 5, 10 ** 12):
+        bp = find_bias_point(_scaled_phi1(k), 0.3, 0.5)
+        assert 0.0 <= bp.phi1 < TWO_PI / k
+        assert abs(bp.T - 0.5) <= abs(bp.slope) * math.ulp(TWO_PI)
 
 
 #: a 3-port permutation with p3 sealed on itself: T is 1 at every phi1, and
@@ -952,6 +1003,44 @@ def test_delta_of_many_periods_through_a_link_samples_one(phi2, periods):
     net = parse_netlist(json.dumps(WITHOUT_POLE["link"][0]))
     bp = find_bias_point(net, phi2, 0.5)
     assert perturbation_response(net, bp, periods * TWO_PI).saturated
+
+
+@pytest.mark.parametrize("periods", [1024, 2048])
+def test_delta_of_many_periods_on_two_phi1_seals_samples_one(periods):
+    # phi1 on two seals: T repeats every 4*pi/gcd(2, 2) = 2*pi, and whole
+    # periods once aliased the sampled slope onto one sign
+    net = parse_netlist(json.dumps(WITHOUT_POLE["two-seals"][0]))
+    assert compile_netlist(net).phi1_pole({"phi2": 0.5}) == (None, None, TWO_PI)
+    bp = find_bias_point(net, 0.5, 0.5)
+    assert perturbation_response(net, bp, periods * TWO_PI).saturated
+
+
+def test_common_period_of_several_phi1_carriers():
+    # each carrier's feedback repeats every 4*pi/|2*share*a|; a non-integer
+    # 2*share*a leaves T with no known period
+    doc = json.loads(json.dumps(WITHOUT_POLE["two-seals"][0]))
+    for phases, period in [(("2*phi1", "3*phi1"), TWO_PI), (("4*phi1", "6*phi1"), math.pi),
+                           (("phi1/2", "phi1"), 4.0 * math.pi), (("phi1", "phi1/3"), None)]:
+        doc["seals"][0]["phase"], doc["seals"][2]["phase"] = phases
+        pole = compile_netlist(parse_netlist(json.dumps(doc))).phi1_pole({"phi2": 0.5})
+        assert pole == (None if period is None else (None, None, period)), phases
+
+
+def test_delta_without_a_period_samples_the_slope():
+    # a phase not affine in phi1 gives T no period: the check samples
+    # dT/dphi1 over the traversed interval, as a dense scan of the exact
+    # slope sees its sign changes
+    doc, dT = WITHOUT_POLE["not-affine"]
+    net = parse_netlist(json.dumps(doc))
+    bp = find_bias_point(net, 0.5, 0.5)
+    got = []
+    for delta in (1e-3, 0.1, 1.0, -3.0):
+        lo, hi = sorted((bp.phi1, bp.phi1 + delta))
+        s = dT(np.linspace(lo, hi, 200001), 0.5)
+        want = bool(np.any(s > 1e-9) and np.any(s < -1e-9))
+        got.append(perturbation_response(net, bp, delta).saturated)
+        assert got[-1] == want, delta
+    assert got == [False, False, True, True]
 
 
 @pytest.mark.parametrize("phi2", [3e-3, 1e-2])

@@ -241,6 +241,24 @@ def test_bias_on_a_flat_ring_reports_a_zero_slope(tmp_path):
     assert res.returncode == 3 and "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("k, code", [("100000", 0), ("1e13", 1)])
+def test_bias_on_a_short_period_answers_or_refuses(tmp_path, k, code):
+    # the searches read one period, 2*pi/k; below 1024 ulps of 2*pi, where
+    # the grid's pitch is under the zooms' stop, they refuse with one line
+    doc = {"devices": [{"id": "g", "kind": "grover(4)"}],
+           "seals": [{"device": "g", "port": "p3", "phase": f"{k}*phi1"},
+                     {"device": "g", "port": "p4", "phase": "phi2"}]}
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(doc))
+    res = run("bias", "--device", str(path), "--phi2", "0.3", "--target", "0.5", timeout=60)
+    assert res.returncode == code
+    if code:
+        assert res.stdout == "" and "Traceback" not in res.stderr
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+    else:
+        assert abs(float(res.stdout.split("T = ")[1].split()[0]) - 0.5) < 1e-9
+
+
 def test_degrees_flag_converts_inputs():
     res = run(
         "sweep",
