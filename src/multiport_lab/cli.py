@@ -28,7 +28,7 @@ formatter's buffer, so memory does not grow with the file.  SVG polylines keep
 the first, last, lowest and highest sample of each pixel column (`svg`), so a
 dense sweep's chart stays a few thousand points.  sweep streams its grid in
 blocks (`analysis.sweep_blocks`), so its memory does not grow with the grid
-either: 2^22 points with --svg peak at about 37 MB.  A device file that cannot
+either: 2^22 points with --svg peak at about 35 MB.  A device file that cannot
 be read, or an output file that cannot be written, exits 1.  A sweep failing
 in a later block exits as one failing up front and removes its partial --out
 if that is a regular file; rows already sent to stdout stay.

@@ -18,12 +18,16 @@ table at a time, in two steps:
   to let the '.' in, and cut at the value's length.  The last holds the byte
   moved out and the exponent.  The separator follows the value's last byte.
   Zeros, infinities and nans are laid out as 0.5, and their first word is
-  then swapped.  The bytes a layout leaves zero are dropped in one pass.
+  then swapped.  The bytes a layout leaves zero are dropped in place.
 
-Both steps work in place in one `_Workspace` of scratch arrays per thread,
-made on first use: a ufunc writes to its last argument (``out=`` for
-``np.maximum`` and ``np.minimum``) and a ``take`` to ``out=``, so a slice
-allocates almost nothing and the allocator neither grows nor returns pages.
+Both steps work in place in one `_Workspace` per thread, made on first use:
+21 ``uint64`` and 10 bool rows, 178 bytes a value.  A ufunc writes to its
+last argument (``out=`` for ``np.maximum`` and ``np.minimum``) and a ``take``
+to ``out=``, into ``uint64`` rows dead at that stage, the float scratch, the
+words (four whole rows) and the drop's mask among them.  The drop compacts
+the words in place, 64 KiB at a time, so a chunk is a view of the workspace
+and a slice allocates almost nothing: the allocator neither grows nor
+returns pages.
 They avoid numpy's slow paths, masked ufuncs (``where=``) and ``np.divmod``:
 a choice between two values is arithmetic on a bool.
 
@@ -88,16 +92,16 @@ class _Workspace:
     """Scratch arrays of `_format_slice` for up to `size` values."""
 
     def __init__(self, size):
-        self.size, self.f, self.out = size, np.empty((2, size)), np.empty(size * 25, np.uint8)
-        self.u, self.b = np.empty((21, size), dtype=_U), np.empty((10, size), dtype=bool)
-        self.words, self.keep = np.empty((size, 4), dtype=_U), np.empty(size * 32, dtype=bool)
+        self.size, self.u = size, np.empty((21, size), dtype=_U)
+        self.b = np.empty((10, size), dtype=bool)
 
 
 def _format_slice(ws, bits, cols):
     """The CSV bytes of the doubles `bits` (whole rows of `cols` values, as
-    uint64), as a view of ``ws.out``."""
+    uint64), as a view of ``ws.u``."""
     t, n = _tables(), bits.size
-    u, b, f = ws.u[:, :n], ws.b[:, :n], ws.f[:, :n]
+    u, b = ws.u[:, :n], ws.b[:, :n]
+    f = u[11:13].view(np.float64)  # free at both steps that use floats
     i, tmp, frac, c = u.view(_I), u[0], u[1], u[2]
     zero, nonfinite, nan, up_in, wp_in, short, u_in, w_in, up, b10 = b
     inf2 = _U(0x7FF << 53)  # an infinity's bits shifted left by one
@@ -166,7 +170,7 @@ def _format_slice(ws, bits, cols):
     t.digits.take(e2.view(_I), axis=1, out=u[7:9], mode="clip")
     decpt = np.add(k, i[7], k)
     full = np.multiply(d, u[8], d)
-    lead = np.floor_divide(full, _U(10**16), u[6])
+    lead = np.floor_divide(full, _U(10**16), u[20])  # clear of the words' rows 5-8
     full -= np.multiply(lead, _U(10**16), tmp)
     halves, quads = u[0:2], u[7:9]
     np.floor_divide(full, _U(10**8), halves[0])
@@ -200,7 +204,7 @@ def _format_slice(ws, bits, cols):
     lo[1] |= w[0]
     cut = t.by_length.take(length.view(_I), axis=1, out=u[11:17], mode="clip")
     lo &= cut[0:2]
-    words = ws.words[:n]
+    words = ws.u[5:9].reshape(-1)[:4 * n].reshape(n, 4)  # rows dead from here on
     np.bitwise_or(lo, cut[3:5], words[:, 1:3].T)
     last = np.bitwise_and(w[1], cut[2], w[1])
     last |= cut[5]
@@ -217,13 +221,14 @@ def _format_slice(ws, bits, cols):
 
     if sys.byteorder == "big":
         words.byteswap(inplace=True)
-    src, keep, end = words.view(np.uint8).reshape(-1), ws.keep[:32 * n], 0
-    np.not_equal(src, np.uint8(0), keep)
+    # the mask takes rows 0-3, 32 bytes a value, clear of the words
+    src, keep, end = words.view(np.uint8).reshape(-1), ws.u[0:4].reshape(-1).view(bool), 0
     for j in range(0, src.size, _DROP):
-        kept = src[j:j + _DROP][keep[j:j + _DROP]]
-        ws.out[end:end + kept.size] = kept
+        chunk = src[j:j + _DROP]
+        kept = chunk[np.not_equal(chunk, np.uint8(0), keep[:chunk.size])]
+        src[end:end + kept.size] = kept
         end += kept.size
-    return memoryview(ws.out[:end])
+    return memoryview(src[:end])
 
 
 def _scaled_interval(g, c, ends, u, b):

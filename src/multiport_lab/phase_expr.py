@@ -34,7 +34,6 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from typing import Mapping, Union
 
 import numpy as np
@@ -166,20 +165,20 @@ def _render(program: tuple) -> str:
 # --- evaluation ------------------------------------------------------------
 
 class _Exact:
-    """a + b*pi with exact rational a, b."""
+    """(a + b*pi) / d, for integers a, b and d > 0 with no common factor."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ("a", "b", "d")
 
-    def __init__(self, a: Fraction, b: Fraction):
-        self.a = a
-        self.b = b
+    def __init__(self, a: int, b: int, d: int = 1):
+        g = math.gcd(a, b, d) if d > 0 else -math.gcd(a, b, d)
+        self.a, self.b, self.d = a // g, b // g, d // g
 
-    def to_float(self) -> float:
+    def to_float(self) -> float:  # int true division rounds correctly
         if self.b == 0:
-            return float(self.a)
+            return self.a / self.d
         if self.a == 0:
-            return float(self.b) * math.pi
-        return float(self.a) + float(self.b) * math.pi
+            return self.b / self.d * math.pi
+        return self.a / self.d + self.b / self.d * math.pi
 
 
 def _to_float(v) -> Value:
@@ -191,9 +190,10 @@ def _to_float(v) -> Value:
 
 def _leaf(tok, bindings: Mapping[str, Value]):
     if not isinstance(tok, str):
-        return _Exact(Fraction(tok), Fraction(0))
+        a, d = tok.as_integer_ratio()
+        return _Exact(a, 0, d)
     if tok == "pi":
-        return _Exact(Fraction(0), Fraction(1))
+        return _Exact(0, 1)
     if tok not in bindings:
         raise ValidationError(f"unbound symbol {tok!r} in phase expression")
     value = np.asarray(bindings[tok], dtype=np.float64)
@@ -202,18 +202,18 @@ def _leaf(tok, bindings: Mapping[str, Value]):
 
 def _apply(op: str, left, right):
     if isinstance(left, _Exact) and isinstance(right, _Exact):
-        if op == "+":
-            return _Exact(left.a + right.a, left.b + right.b)
-        if op == "-":
-            return _Exact(left.a - right.a, left.b - right.b)
+        if op in "+-":
+            sign = 1 if op == "+" else -1
+            return _Exact(left.a * right.d + sign * right.a * left.d,
+                          left.b * right.d + sign * right.b * left.d, left.d * right.d)
         if op == "*" and right.b == 0:
-            return _Exact(left.a * right.a, left.b * right.a)
+            return _Exact(left.a * right.a, left.b * right.a, left.d * right.d)
         if op == "*" and left.b == 0:
-            return _Exact(left.a * right.a, left.a * right.b)
+            return _Exact(left.a * right.a, left.a * right.b, left.d * right.d)
         if op == "/" and right.b == 0:
             if right.a == 0:
                 raise ValidationError("division by zero in phase expression")
-            return _Exact(left.a / right.a, left.b / right.a)
+            return _Exact(left.a * right.d, left.b * right.d, left.d * right.a)
         # pi*pi and division by a multiple of pi leave the rational-pi field
     return _FLOAT_OPS[op](_to_float(left), _to_float(right))
 
@@ -234,7 +234,7 @@ def _run(program: tuple, bindings: Mapping[str, Value], name: str | None = None)
     for tok in program:
         if tok == "neg":
             v = values[-1]
-            values[-1] = _Exact(-v.a, -v.b) if isinstance(v, _Exact) else -v
+            values[-1] = _Exact(-v.a, -v.b, v.d) if isinstance(v, _Exact) else -v
             if name is not None:
                 slopes[-1] = -slopes[-1]
         elif tok in _FLOAT_OPS:

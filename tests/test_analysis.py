@@ -770,6 +770,19 @@ def test_grover_michelson_sensitivity_diverges_toward_zero():
     assert s5 > s3 > 1e2
 
 
+@pytest.mark.parametrize("phi2", [1e-2, 1e-3, 1e-4, 1e-5])
+@pytest.mark.parametrize("netlist", [False, True])
+def test_slope_times_half_width_tends_to_the_lorentzian_limit(phi2, netlist):
+    # a full-contrast Lorentzian of half-width h is at most 3*sqrt(3)/(8*h)
+    # steep, so the enhanced slope costs linewidth: slope * h reads about
+    # 3*sqrt(3)/8 * (1 + 1.15*phi2) on both models, which checks the pole's
+    # width and the zoom together
+    device = builtin_netlist("grover-michelson") if netlist else "grover-michelson"
+    _, half_width, _ = resolve_device(device).closure().phi1_pole({"phi2": phi2})
+    _, top = max_sensitivity(device, phi2)
+    assert 0.5 <= (top * half_width / (3.0 * math.sqrt(3.0) / 8.0) - 1.0) / phi2 <= 2.0
+
+
 def test_sensitivity_profile_shape():
     prof = sensitivity_profile("grover-michelson", [0.5, math.pi])
     assert prof.device_id == "grover-michelson"

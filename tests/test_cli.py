@@ -27,6 +27,16 @@ def run(*args, env_extra=None, cwd=None, timeout=None):
     )
 
 
+def test_import_loads_neither_fractions_nor_decimal():
+    # fractions, which imports decimal, cost every command start-up time and
+    # about 0.4 MB of peak RSS
+    code = ("import sys, multiport_lab.cli\n"
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert res.stdout == "[]\n"
+
+
 def test_no_arguments_is_an_error():
     res = run()
     assert res.returncode == 1
