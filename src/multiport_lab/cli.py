@@ -21,12 +21,13 @@ The default tolerance (netlist unitarity validation) is 1e-12, overridable by
 the MULTIPORT_LAB_TOL environment variable and per-run by --tol.
 
 CSV output is locale-independent and deterministic: '.' decimals, '\\n' line
-endings, and floats from a vectorized shortest round-trip formatter
-(`floatfmt`), byte-identical to Python's repr; identical invocations produce
+endings, and floats byte-identical to Python's repr, from a vectorized
+shortest round-trip formatter (`floatfmt`), or by repr itself for tables
+shorter than one of its 2048-row slices; identical invocations produce
 byte-identical files.  CSVs are written in blocks of rows, straight from the
-formatter's buffer, so memory does not grow with the file.  SVG polylines keep
-the first, last, lowest and highest sample of each pixel column (`svg`), so a
-dense sweep's chart stays a few thousand points.  sweep streams its grid in
+formatter's buffer, so memory does not grow with the file.  SVG polylines
+keep the first, last, lowest and highest sample of each pixel column (`svg`),
+so a dense sweep's chart stays a few thousand points.  sweep streams its grid in
 blocks (`analysis.sweep_blocks`), so its memory does not grow with the grid
 either: 2^22 points with --svg peak at about 35 MB.  A device file that cannot
 be read, or an output file that cannot be written, exits 1.  A sweep failing

@@ -4,8 +4,9 @@ whole arrays at once (`format_rows`, or `iter_rows` for the bytes).
 ``repr(float)`` is the shortest decimal that reads back as the same double,
 the nearest such decimal when several have that length (ties to an even last
 digit), laid out as ``0.000ddd``, ``dd.ddd``, ``ddd000.0`` or ``d.ddde±XX``.
-`iter_rows` builds those bytes with numpy integer arithmetic, 2048 rows of a
-table at a time, in two steps:
+`iter_rows` writes a table shorter than 2048 rows by ``repr`` itself, which
+costs less than the first use of the kernel that builds the bytes of longer
+ones, 2048 rows at a time, with numpy integer arithmetic in two steps:
 
 - Digits, by Schubfach (R. Giulietti, "The Schubfach way to render doubles",
   2020): the value and both ends of its rounding interval are scaled by a
@@ -25,16 +26,16 @@ Both steps work in place in one `_Workspace` per thread, made on first use:
 last argument (``out=`` for ``np.maximum`` and ``np.minimum``) and a ``take``
 to ``out=``, into ``uint64`` rows dead at that stage, the float scratch, the
 words (four whole rows) and the drop's mask among them.  The drop compacts
-the words in place, 64 KiB at a time, so a chunk is a view of the workspace
-and a slice allocates almost nothing: the allocator neither grows nor
-returns pages.
+the words in place, 64 KiB at a time, so a slice's chunk is a view of the
+workspace and a slice allocates almost nothing: the allocator neither grows
+nor returns pages.
 They avoid numpy's slow paths, masked ufuncs (``where=``) and ``np.divmod``:
 a choice between two values is arithmetic on a bool.
 
 Every integer operand is an explicit ``np.uint64``/``np.int64`` array or
 scalar: numpy < 2 promotes ``uint64`` mixed with a Python int or an ``int64``
 to float64, which would lose bits.  No shift count reaches 64.  The tables
-are built on first use, so commands that write no CSV do not pay for them.
+are built on first use, which commands that write only short tables skip.
 """
 
 from __future__ import annotations
@@ -74,12 +75,18 @@ def format_rows(table) -> str:
 
 
 def iter_rows(table):
-    """The bytes of `format_rows(table)`, one slice of rows at a time.  Each
-    chunk is a view of this thread's workspace, valid until the thread
-    formats its next slice."""
+    """The bytes of `format_rows(table)`, one slice of rows at a time.  A
+    table shorter than one slice is one chunk, written by ``repr``: that
+    costs less than the kernel's first use, its tables and workspace.  Each
+    chunk of a longer table is a view of this thread's workspace, valid
+    until the thread formats its next slice."""
     table = np.ascontiguousarray(table, dtype=np.float64)
     bits, cols, step = table.reshape(-1).view(_U), table.shape[1], _SLICE_ROWS * table.shape[1]
     if bits.size == 0:
+        return
+    if table.shape[0] < _SLICE_ROWS:  # Python floats: numpy 2 reprs np.float64(x)
+        row = ",".join(["%r"] * cols) + "\n"
+        yield (row * table.shape[0] % tuple(table.reshape(-1).tolist())).encode("ascii")
         return
     ws = getattr(_local, "workspace", None)
     if ws is None or ws.size < min(step, bits.size):

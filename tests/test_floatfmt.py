@@ -30,6 +30,19 @@ def assert_repr(values):
     assert wrong[:5] == []
 
 
+def kernel(table):
+    """The kernel's bytes for a float64 `table` of any size, which
+    `iter_rows` writes by repr below one slice: slice by slice in one
+    workspace that every call shares, as a thread's is."""
+    table = np.ascontiguousarray(table)
+    bits, cols = table.reshape(-1).view(np.uint64), table.shape[1]
+    return b"".join(bytes(floatfmt._format_slice(WORKSPACE, bits[i:i + SLICE * cols], cols))
+                    for i in range(0, bits.size, SLICE * cols))
+
+
+WORKSPACE = floatfmt._Workspace(4 * SLICE)
+
+
 def neighbours(values):
     values = np.asarray(values, dtype=np.float64)
     return np.concatenate([np.nextafter(values, -np.inf), values,
@@ -72,6 +85,7 @@ def test_csv_blocks_write_the_repr_of_every_value(rows, tmp_path):
     cli._write_csv(str(path), "a,b,c", values)
     lines = ["a,b,c"] + [",".join(map(repr, row)) for row in zip(*values.tolist())]
     assert path.read_text(encoding="ascii") == "\n".join(lines) + "\n"
+    assert kernel(values.T) == "".join(line + "\n" for line in lines[1:]).encode()
 
 
 def reference(table):
@@ -92,7 +106,7 @@ def edge_table(rows, cols, seed):
 def test_slices_of_any_size_write_the_repr_of_every_value():
     # row counts around the slice size and the sweep's block, in a shuffled
     # order, so that bytes a slice leaves in the workspace cannot leak into
-    # a later, shorter or narrower one
+    # a later, shorter or narrower one; by the kernel too below one slice
     cases = [(rows, cols) for rows in (0, 1, SLICE - 1, SLICE, SLICE + 1, 2 * SLICE + 1, 4096)
              for cols in (1, 2, 3, 4)]
     random.Random(14).shuffle(cases)
@@ -101,6 +115,7 @@ def test_slices_of_any_size_write_the_repr_of_every_value():
         want = reference(table)
         assert floatfmt.format_rows(table) == want, (rows, cols)
         assert b"".join(bytes(c) for c in floatfmt.iter_rows(table)) == want.encode(), (rows, cols)
+        assert kernel(table) == want.encode(), (rows, cols)
 
 
 def test_threads_formatting_at_once_each_get_their_own_bytes():
@@ -154,12 +169,13 @@ def layout_values():
 
 def test_every_layout_in_every_column_is_written_as_repr():
     # each value in each column of 1- to 4-column rows, so that every
-    # layout meets both separators at every length
+    # layout meets both separators at every length, by the kernel: the
+    # table is shorter than one slice
     values = np.array(layout_values())
     assert len(values) == 24 * 17 * 2 + 11
     for cols in (1, 2, 3, 4):
         table = np.stack([np.roll(values, j) for j in range(cols)], axis=1)
-        assert floatfmt.format_rows(table) == reference(table), cols
+        assert kernel(table) == reference(table).encode(), cols
 
 
 def test_formatting_a_block_allocates_little_beyond_its_text():

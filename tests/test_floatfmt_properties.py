@@ -12,7 +12,8 @@ SETTINGS = hypothesis.settings(max_examples=200, deadline=None, database=None)
 
 
 def assert_repr(values):
-    values = np.asarray(values, dtype=np.float64)
+    # tiled to one slice, so that the kernel writes them, not repr
+    values = np.resize(np.asarray(values, dtype=np.float64), floatfmt._SLICE_ROWS)
     lines = floatfmt.format_rows(values.reshape(-1, 1)).splitlines()
     assert lines == [repr(v) for v in values.tolist()]
 
